@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from . import gaussian as gsn
 from . import inequalities as ineq
 from . import oracle
-from . import phasespace as phsp
 from .phasespace import PhaseSpace, particles
 from .stabilizer import (
     CLASSICAL,
@@ -28,11 +26,9 @@ from .stabilizer import (
     QUANTUM,
     EntropyVector,
     ExactEntropy,
-    StabilizerState,
     entropy_vector,
     enumerate_isotropic,
 )
-from .zmod import Subgroup
 
 OUTPUT_DIR_ENV = "ENTROKIT_OUTPUT_DIR"
 
@@ -63,87 +59,31 @@ def _vector_obj(vec: EntropyVector) -> dict:
     }
 
 
-def _corpus_records(d: int, n: int, threads: int = 1):
-    ps = PhaseSpace(n, d)
-    if threads <= 1:
-        states = list(enumerate_isotropic(ps))
-    else:
-        states = _enumerate_sharded(ps, threads)
-    for st in states:
-        yield st, entropy_vector(st, QUANTUM), entropy_vector(st, CLASSICAL)
-
-
-def _enumerate_sharded(ps: PhaseSpace, threads: int) -> list[StabilizerState]:
-    """Shard enumeration on the first extension vector; dedup and sort at merge."""
-    trivial = Subgroup.zero(ps.d, ps.m)
-    full = phsp.symplectic_complement(ps, trivial)
-    singles = []
-    seen = set()
-    for v in full.elements():
-        if not any(v):
-            continue
-        s = trivial.extend(v)
-        if s not in seen:
-            seen.add(s)
-            singles.append(s)
-    shards = [singles[i::threads] for i in range(threads)]
-
-    def work(shard):
-        found = set()
-        frontier = list(shard)
-        found.update(shard)
-        while frontier:
-            nxt = []
-            for M in frontier:
-                perp = phsp.symplectic_complement(ps, M)
-                for v in perp.elements():
-                    if M.contains(v):
-                        continue
-                    M2 = M.extend(v)
-                    if M2 not in found:
-                        found.add(M2)
-                        nxt.append(M2)
-            frontier = nxt
-        return found
-
-    merged = {trivial}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(work, shards):
-            merged.update(result)
-    ordered = sorted(merged, key=lambda s: s.basis)
-    return [StabilizerState(ps, M) for M in ordered]
-
-
 def cmd_enumerate(args) -> int:
     d, n = args.d, args.n
     if d**(2 * n) > ENUMERATION_GUARD:
         print(f"error: d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}", file=sys.stderr)
         return 2
     out = _resolve(args.out, f"corpus_d{d}_n{n}.{args.format}")
-    if args.format == "json":
-        lines = []
-        for idx, (st, vq, vc) in enumerate(_corpus_records(d, n, args.threads)):
-            lines.append(
-                json.dumps(
-                    {
-                        "index": idx,
-                        "d": d,
-                        "n": n,
-                        "generators": [list(g) for g in st.M.generators()],
-                        "quantum": _vector_obj(vq),
-                        "classical": _vector_obj(vc),
-                    },
-                    sort_keys=True,
-                )
-            )
-        _write_lines(out, lines)
-    else:
-        lines = ["state,kind,mask,size,order,entropy_log_d"]
-        for idx, (st, vq, vc) in enumerate(_corpus_records(d, n, args.threads)):
-            for vec in (vq, vc):
-                for mask, size, order, val in vec.rows():
-                    lines.append(f"{idx},{vec.kind},{mask},{size},{order},{_fmt(val)}")
-        _write_lines(out, lines)
+    with open(out, "w") as fh:
+        if args.format == "csv":
+            fh.write("state,kind,mask,size,order,entropy_log_d\n")
+        for idx, st in enumerate(enumerate_isotropic(PhaseSpace(n, d))):
+            vq, vc = entropy_vector(st, QUANTUM), entropy_vector(st, CLASSICAL)
+            if args.format == "json":
+                record = {
+                    "index": idx,
+                    "d": d,
+                    "n": n,
+                    "generators": [list(g) for g in st.M.generators()],
+                    "quantum": _vector_obj(vq),
+                    "classical": _vector_obj(vc),
+                }
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            else:
+                for vec in (vq, vc):
+                    for mask, size, order, val in vec.rows():
+                        fh.write(f"{idx},{vec.kind},{mask},{size},{order},{_fmt(val)}\n")
     print(out)
     return 0
 
@@ -172,10 +112,16 @@ def _record_vector(rec: dict, kind: str) -> EntropyVector:
 def cmd_verify(args) -> int:
     try:
         records = _load_corpus(args.corpus)
-        n = records[0]["n"]
+        d, n = records[0]["d"], records[0]["n"]
+        for idx, rec in enumerate(records):
+            if (rec["d"], rec["n"]) != (d, n):
+                raise ValueError(f"record {idx} has (d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
         if args.inequality:
             with open(args.inequality) as fh:
                 ineqs = [ineq.Inequality.from_json(line) for line in fh if line.strip()]
+            for q in ineqs:
+                if q.n != n:
+                    raise ValueError(f"inequality with n = {q.n} on a corpus with n = {n}")
         else:
             ineqs = ineq.instances(args.family, n)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -199,41 +145,14 @@ def cmd_oracle_check(args) -> int:
     if d**n > oracle.DENSE_GUARD:
         print(f"error: d^n = {d ** n} exceeds dense guard {oracle.DENSE_GUARD}", file=sys.stderr)
         return 2
-    ps = PhaseSpace(n, d)
     checks = {"states": 0, "entropy": 0.0, "projector": 0.0, "wigner": 0.0}
+    tolerances = {"projector": oracle.ATOL_STRUCT, "entropy": oracle.ATOL_EIG, "wigner": oracle.ATOL_WIGNER}
     ok = True
-    for st in enumerate_isotropic(ps):
+    for st in enumerate_isotropic(PhaseSpace(n, d)):
         checks["states"] += 1
-        P = oracle.projector(st)
-        perr = float(
-            max(
-                np.abs(P @ P - P).max(),
-                np.abs(P - P.conj().T).max(),
-                abs(np.trace(P).real - d**n / st.M.order),
-            )
-        )
-        checks["projector"] = max(checks["projector"], perr)
-        ok &= perr < oracle.ATOL_STRUCT
-        rho = oracle.dense_state(st)
-        for mask in range(1, 1 << n):
-            red = oracle.reduced_state(rho, ps, mask)
-            exact = (
-                len(particles(mask))
-                - math.log(phsp.restrict(ps, st.M, mask).order) / math.log(d)
-            )
-            for alpha in ("vonNeumann", 0.5, 2, 3):
-                err = abs(oracle.spectral_entropy(red, alpha, d) - exact)
-                checks["entropy"] = max(checks["entropy"], err)
-                ok &= err < oracle.ATOL_EIG
-        if d % 2:
-            W = oracle.wigner(rho, ps)
-            perp = st.perp
-            werr = 0.0
-            for v in np.ndindex(*(d,) * (2 * n)):
-                expect = 1 / perp.order if perp.contains(list(v)) else 0.0
-                werr = max(werr, abs(W.values[v] - expect))
-            checks["wigner"] = max(checks["wigner"], werr)
-            ok &= werr < 1e-10
+        for key, err in oracle.cross_check(st).items():
+            checks[key] = max(checks[key], err)
+            ok &= err < tolerances[key]
     report = {"d": d, "n": n, "passed": bool(ok)}
     report.update({k: (_fmt(v) if isinstance(v, float) else v) for k, v in checks.items()})
     out = _resolve(args.out, f"oracle_check_d{d}_n{n}.json")
@@ -292,18 +211,7 @@ def cmd_gaussian(args) -> int:
         print(out)
         return 0 if ok else 1
     if args.gaussian_cmd == "ingleton-search":
-        if args.threads <= 1:
-            res = gsn.ingleton_search(args.seed, args.iters, args.strategy)
-        else:
-            shard_iters = args.iters // args.threads
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda s: gsn.ingleton_search(s, shard_iters, args.strategy),
-                        [args.seed + i for i in range(args.threads)],
-                    )
-                )
-            res = min(results, key=lambda r: r.value)
+        res = gsn.ingleton_search(args.seed, args.iters, args.strategy)
         _write_lines(out, [res.to_json()])
         print(out)
         return 0 if res.found else 1
@@ -333,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="verify inequalities against a corpus file")
@@ -369,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--iters", type=int, default=20000)
     g.add_argument("--strategy", choices=gsn.STRATEGIES, default="random-wishart")
-    g.add_argument("--threads", type=int, default=1)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gaussian)
 
@@ -382,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    for attr in ("d", "n", "trials", "samples", "iters", "threads"):
+    for attr in ("d", "n", "trials", "samples", "iters"):
         if getattr(args, attr, 1) is not None and getattr(args, attr, 1) < 1:
             print(f"error: --{attr} must be positive", file=sys.stderr)
             return 2

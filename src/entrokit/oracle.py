@@ -24,11 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .phasespace import PhaseSpace, particles, subset_size
-from .stabilizer import StabilizerState
+from .stabilizer import StabilizerState, quantum_entropy
 
 DENSE_GUARD = 4096
 ATOL_STRUCT = 1e-9
 ATOL_EIG = 1e-8
+ATOL_WIGNER = 1e-10
 
 
 def _check_guard(ps: PhaseSpace) -> None:
@@ -206,3 +207,43 @@ def wigner_marginal(W: WignerTable, ps: PhaseSpace, mask: int) -> WignerTable:
     values = W.values.sum(axis=drop) if drop else W.values
     sub = PhaseSpace(subset_size(mask), ps.d)
     return WignerTable(sub, values)
+
+
+def cross_check(st: StabilizerState) -> dict[str, float]:
+    """Largest dense-oracle errors of one state against the exact formulas.
+
+    ``projector``: idempotence, Hermiticity and tr P = d^n / |M|.
+    ``entropy``: von Neumann and Renyi-1/2, 2, 3 entropies of every reduced
+    state against |I| - log_d |M_I|.
+    ``wigner``: W against the uniform distribution on M_perp (odd d only;
+    0.0 for even d).
+    """
+    ps = st.ps
+    d = ps.d
+    P = projector(st)
+    projector_err = np.max(
+        [
+            np.abs(P @ P - P).max(),
+            np.abs(P - P.conj().T).max(),
+            abs(np.trace(P).real - d**ps.n / st.M.order),
+        ]
+    )
+    rho = P / np.trace(P).real
+    entropy_errs = []
+    for mask in range(1, 1 << ps.n):
+        red = reduced_state(rho, ps, mask)
+        exact = quantum_entropy(st, mask).value
+        for alpha in ("vonNeumann", 0.5, 2, 3):
+            entropy_errs.append(abs(spectral_entropy(red, alpha, d) - exact))
+    wigner_err = 0.0
+    if d % 2:
+        expect = np.zeros((d,) * ps.m)
+        for v in st.perp.elements():
+            expect[v] = 1 / st.perp.order
+        wigner_err = np.abs(wigner(rho, ps).values - expect).max()
+    # np.max, unlike the builtin max, propagates a NaN error
+    return {
+        "projector": float(projector_err),
+        "entropy": float(np.max(entropy_errs)),
+        "wigner": float(wigner_err),
+    }

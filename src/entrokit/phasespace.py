@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .zmod import ModMatrix, Subgroup, kernel_mod
+from .zmod import ModMatrix, Subgroup, kernel_mod, tail_sublattice
 
 
 def particles(mask: int) -> list[int]:
@@ -113,16 +113,11 @@ def restrict(ps: PhaseSpace, M: Subgroup, mask: int) -> Subgroup:
     outside = [c for c in range(ps.m) if c not in inside]
     if not outside:
         return M
-    # Column-permute so the outside block comes first; HNF rows with a zero
-    # outside block form a basis of the sublattice supported on I.
-    from .zmod import _hermite_rows
-
+    # Column-permute so the outside block comes first; the sublattice with a
+    # vanishing outside block is the part of M supported on I.
     perm = outside + inside
     rows = [[g[c] for c in perm] for g in M.generators()]
-    hnf = _hermite_rows(rows, ps.m, ps.d)
-    k = len(outside)
-    gens = [row[k:] for row in hnf if not any(x % ps.d for x in row[:k])]
-    return Subgroup.from_generators(gens, ps.d, len(inside))
+    return tail_sublattice(rows, len(outside), ps.m, ps.d)
 
 
 def project_phase(ps: PhaseSpace, S: Subgroup, mask: int) -> Subgroup:

@@ -130,23 +130,21 @@ def entropy_vector(st: StabilizerState, kind: str = QUANTUM) -> EntropyVector:
     return EntropyVector(st.ps.n, st.ps.d, kind, entries)
 
 
-def enumerate_isotropic(
-    ps: PhaseSpace, max_dim: Optional[float] = None
-) -> Iterator[StabilizerState]:
+def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
     """Every isotropic subgroup of Z_d^{2n}, each exactly once.
 
-    Breadth-first extension: from M, adjoin each v in M_perp \\ M (any such v
-    commutes with all of M mod d, so the extension stays isotropic).  Dedup is
-    by canonical basis, which makes the emission order deterministic.
+    Breadth-first extension over coset representatives: from M, adjoin each
+    nonzero v in M_perp with v == M.reduce(v).  Any v in M_perp commutes with
+    all of M mod d, so the extension stays isotropic, and M + <v> equals
+    M + <M.reduce(v)>, so skipping the other members of v + M loses no
+    subgroup.  Different representatives can still give the same subgroup;
+    a set of canonical bases removes those duplicates.  The emission order is
+    deterministic: by BFS level, then by parent, then by representative.
     """
     if ps.d ** ps.m > ENUMERATION_GUARD:
         raise ValueError(
             f"d^(2n) = {ps.d ** ps.m} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    if max_dim is None:
-        max_order = ps.d**ps.n
-    else:
-        max_order = ps.d**max_dim
     trivial = Subgroup.zero(ps.d, ps.m)
     seen = {trivial}
     frontier = [trivial]
@@ -156,10 +154,10 @@ def enumerate_isotropic(
         for M in frontier:
             perp = phsp.symplectic_complement(ps, M)
             for v in perp.elements():
-                if M.contains(v):
+                if not any(v) or M.reduce(v) != v:
                     continue
                 M2 = M.extend(v)
-                if M2.order > max_order or M2 in seen:
+                if M2 in seen:
                     continue
                 seen.add(M2)
                 nxt.append(M2)

@@ -141,21 +141,25 @@ class Subgroup:
                 out.append(g)
         return out
 
-    def contains(self, v: Sequence[int]) -> bool:
+    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
+        """The canonical representative of the coset v + M.
+
+        This is the HNF remainder r of v, with 0 <= r_i < basis[i][i]; two
+        vectors lie in the same coset iff their remainders are equal.
+        """
         if len(v) != self.m:
             raise ValueError(f"vector of length {len(v)}, expected {self.m}")
         rem = [x % self.d for x in v]
         for i in range(self.m):
-            a = rem[i]
-            piv = self.basis[i][i]
-            if a % piv:
-                return False
-            q = a // piv
+            q = rem[i] // self.basis[i][i]
             if q:
                 row = self.basis[i]
                 for j in range(i, self.m):
                     rem[j] = (rem[j] - q * row[j]) % self.d
-        return True
+        return tuple(rem)
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.reduce(v))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if (self.d, self.m) != (other.d, other.m):
@@ -166,9 +170,7 @@ class Subgroup:
         # (0, x) with x in the intersection.
         rows = [list(g) + list(g) for g in self.generators()]
         rows += [list(g) + [0] * m for g in other.generators()]
-        hnf = _hermite_rows(rows, 2 * m, d)
-        gens = [row[m:] for row in hnf if not any(x % d for x in row[:m])]
-        return Subgroup.from_generators(gens, d, m)
+        return tail_sublattice(rows, m, 2 * m, d)
 
     def join(self, other: "Subgroup") -> "Subgroup":
         """Smallest subgroup containing both (the sum)."""
@@ -216,6 +218,17 @@ class Subgroup:
         return cls.from_generators(obj["generators"], obj["d"], obj["m"])
 
 
+def tail_sublattice(rows: Sequence[Sequence[int]], k: int, ncols: int, d: int) -> Subgroup:
+    """The subgroup {x in Z_d^(ncols-k) : (0, x) in span(rows) + d*Z^ncols}.
+
+    HNF rows whose first k entries vanish mod d form a basis of the part of
+    the lattice with a vanishing leading block; their tails generate it.
+    """
+    hnf = _hermite_rows(rows, ncols, d)
+    gens = [row[k:] for row in hnf if not any(x % d for x in row[:k])]
+    return Subgroup.from_generators(gens, d, ncols - k)
+
+
 def subgroup_from_generators(G: ModMatrix) -> Subgroup:
     return Subgroup.from_generators(G.rows, G.d, G.ncols)
 
@@ -231,6 +244,4 @@ def kernel_mod(A: ModMatrix) -> Subgroup:
         e = [0] * m
         e[i] = 1
         rows.append([A.rows[j][i] for j in range(r)] + e)
-    hnf = _hermite_rows(rows, r + m, d)
-    gens = [row[r:] for row in hnf if not any(x % d for x in row[:r])]
-    return Subgroup.from_generators(gens, d, m)
+    return tail_sublattice(rows, r, r + m, d)

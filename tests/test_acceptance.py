@@ -8,7 +8,6 @@ import json
 import math
 import os
 import sys
-from itertools import product
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from entrokit import gaussian as gsn
 from entrokit import inequalities as ineq
 from entrokit import oracle
-from entrokit import phasespace as phsp
 from entrokit.phasespace import PhaseSpace, particles
 from entrokit.stabilizer import QUANTUM, entropy_vector, order_identity_check
 
@@ -45,47 +43,34 @@ def test_criterion_1_order_identity_exhaustive(corpus):
     verdict(1, "exact order identity on all corpora", ok)
 
 
-def test_criterion_2_dense_entropies_match(corpus):
-    worst = 0.0
-    for d, n in CORPORA:
-        ps = PhaseSpace(n, d)
-        for st in corpus(d, n):
-            rho = oracle.dense_state(st)
-            for mask in range(1, 1 << n):
-                red = oracle.reduced_state(rho, ps, mask)
-                exact = len(particles(mask)) - math.log(
-                    phsp.restrict(ps, st.M, mask).order
-                ) / math.log(d)
-                for alpha in ("vonNeumann", 0.5, 2, 3):
-                    worst = max(worst, abs(oracle.spectral_entropy(red, alpha, d) - exact))
+@pytest.fixture(scope="module")
+def cross_checks(corpus):
+    """oracle.cross_check of every state, per corpus; shared by criteria 2-4."""
+    return {(d, n): [oracle.cross_check(st) for st in corpus(d, n)] for d, n in CORPORA}
+
+
+def worst_error(cross_checks, key, corpora=CORPORA):
+    return max(errs[key] for dn in corpora for errs in cross_checks[dn])
+
+
+def test_criterion_2_dense_entropies_match(cross_checks):
+    worst = worst_error(cross_checks, "entropy")
     verdict(2, f"dense vs subgroup entropies (max err {worst:.2e})", worst < 1e-8)
 
 
-def test_criterion_3_projector_laws(corpus):
-    worst = 0.0
-    for d, n in CORPORA:
-        for st in corpus(d, n):
-            P = oracle.projector(st)
-            worst = max(
-                worst,
-                float(np.abs(P @ P - P).max()),
-                float(np.abs(P - P.conj().T).max()),
-                abs(np.trace(P).real - d**n / st.M.order),
-            )
+def test_criterion_3_projector_laws(cross_checks):
+    worst = worst_error(cross_checks, "projector")
     verdict(3, f"projector laws (max err {worst:.2e})", worst < 1e-9)
 
 
-def test_criterion_4_wigner_leg(corpus):
-    worst = 0.0
-    for d, n in [(3, 1), (3, 2), (5, 1)]:
+def test_criterion_4_wigner_leg(corpus, cross_checks):
+    odd = [(3, 1), (3, 2), (5, 1)]
+    worst = worst_error(cross_checks, "wigner", odd)
+    for d, n in odd:
         ps = PhaseSpace(n, d)
         for st in corpus(d, n):
             rho = oracle.dense_state(st)
             W = oracle.wigner(rho, ps)
-            perp = st.perp
-            for v in product(range(d), repeat=2 * n):
-                expect = 1 / perp.order if perp.contains(list(v)) else 0.0
-                worst = max(worst, abs(W.at(v) - expect))
             for mask in range(1, (1 << n) - 1):
                 sub = PhaseSpace(len(particles(mask)), d)
                 left = oracle.wigner_marginal(W, ps, mask).values

@@ -38,18 +38,6 @@ def test_enumerate_csv(outdir):
     assert len(lines) == 1 + 4 * 2  # 4 states x 2 kinds x 1 mask
 
 
-def test_enumerate_threads_agree(outdir):
-    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(outdir / "a.json")]) == 0
-    assert main(["enumerate", "--d", "2", "--n", "2", "--threads", "3", "--out", str(outdir / "b.json")]) == 0
-    key = lambda r: tuple(map(tuple, r["generators"]))
-    a = sorted(read_lines(outdir / "a.json"), key=key)
-    b = sorted(read_lines(outdir / "b.json"), key=key)
-    for ra, rb in zip(a, b):
-        assert ra["generators"] == rb["generators"]
-        assert ra["quantum"] == rb["quantum"]
-    assert len(a) == len(b) == 31
-
-
 def test_enumerate_guard(outdir, capsys):
     assert main(["enumerate", "--d", "7", "--n", "5"]) == 2
     assert "guard" in capsys.readouterr().err
@@ -80,6 +68,25 @@ def test_verify_inequality_file(outdir):
     path = outdir / "ineqs.json"
     path.write_text('{"n": 2, "name": "ssa", "nu": {"1": 1, "2": 1, "3": -1}}\n')
     assert main(["verify", "--corpus", corpus, "--inequality", str(path)]) == 0
+
+
+def test_verify_rejects_mixed_corpus(outdir, capsys):
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    assert main(["enumerate", "--d", "2", "--n", "1", "--out", str(outdir / "small.json")]) == 0
+    with open(corpus, "a") as fh:
+        fh.write((outdir / "small.json").read_text().splitlines()[0] + "\n")
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
+    path = outdir / "ineqs.json"
+    path.write_text('{"n": 3, "name": "ssa", "nu": {"1": 1, "2": 1, "3": -1}}\n')
+    assert main(["verify", "--corpus", corpus, "--inequality", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_missing_corpus(outdir, capsys):

@@ -176,6 +176,20 @@ def test_even_d_reduced_spectra_match_formula(corpus):
                 assert np.abs(evals[r:]).max() < 1e-8
 
 
+def test_cross_check_flags_the_wrong_state(monkeypatch, corpus):
+    ps = PhaseSpace(1, 3)
+    for st in corpus(3, 1):
+        errs = oracle.cross_check(st)
+        assert errs["projector"] < oracle.ATOL_STRUCT
+        assert errs["entropy"] < oracle.ATOL_EIG
+        assert errs["wigner"] < oracle.ATOL_WIGNER
+    # a pure-state projector standing in for the maximally mixed state
+    pure = oracle.projector(StabilizerState(ps, Subgroup.from_generators([[1, 0]], 3, 2)))
+    monkeypatch.setattr(oracle, "projector", lambda _: pure)
+    errs = oracle.cross_check(StabilizerState(ps, Subgroup.zero(3, 2)))
+    assert errs["projector"] > 1 and errs["entropy"] > 0.5 and errs["wigner"] > 0.1
+
+
 def test_dense_guard():
     ps = PhaseSpace(7, 4)  # 4^7 > 4096
     with pytest.raises(ValueError):

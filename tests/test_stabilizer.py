@@ -27,6 +27,9 @@ EXPECTED_COUNTS = {
     (3, 2): 81,
     (4, 2): 517,
     (2, 3): 514,
+    # d = 6 by the CRT: count(6, n) = count(2, n) * count(3, n)
+    (6, 1): 20,
+    (6, 2): 2511,
 }
 
 
@@ -56,15 +59,6 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         list(enumerate_isotropic(PhaseSpace(6, 5)))  # 5^12 > 2^24
-
-
-def test_max_dim_cutoff():
-    ps = PhaseSpace(2, 2)
-    states = list(enumerate_isotropic(ps, max_dim=1))
-    assert all(st.M.order <= 2 for st in states)
-    # trivial subgroup plus every cyclic isotropic line
-    full = list(enumerate_isotropic(ps))
-    assert len(states) == sum(1 for st in full if st.M.order <= 2)
 
 
 def test_state_validation():

@@ -87,6 +87,23 @@ def test_intersect_and_join_match_element_sets(case, data):
     assert set(A.join(B).elements()) == closure(list(ea | eb), d, m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(generated_subgroup(), st.data())
+def test_reduce_is_the_canonical_coset_representative(case, data):
+    d, m, gens = case
+    S = Subgroup.from_generators(gens, d, m)
+    elems = closure(gens, d, m)
+    v = [data.draw(st.integers(min_value=-2 * d, max_value=2 * d)) for _ in range(m)]
+    r = S.reduce(v)
+    assert tuple((a - b) % d for a, b in zip(r, v)) in elems
+    assert S.reduce(r) == r
+    assert (not any(r)) == (tuple(x % d for x in v) in elems)
+    assert all(0 <= r[i] < S.basis[i][i] for i in range(m))
+    # every member of the coset v + S has the same representative
+    w = data.draw(st.sampled_from(sorted(elems)))
+    assert S.reduce([a + b for a, b in zip(v, w)]) == r
+
+
 def test_elements_enumerates_each_exactly_once():
     S = Subgroup.from_generators([[2, 0], [0, 2]], 4, 2)
     elems = list(S.elements())
