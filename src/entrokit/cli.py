@@ -1,8 +1,10 @@
 """Command-line surface: reproducible experiments with machine-readable output.
 
-Output is line-delimited JSON by default (CSV opt-in).  Every stochastic
-subcommand requires an explicit seed.  Exit codes: 0 pass, 1 verification
-failure, 2 usage or input error.
+Output is line-delimited JSON.  Every stochastic subcommand requires an
+explicit seed.  Exit codes: 0 pass, 1 verification failure, 2 usage or input
+error.  numpy and the modules built on it (``gaussian``, ``oracle``) are
+imported only by the subcommands that use them, so ``enumerate`` and
+``verify`` start without them.
 """
 
 from __future__ import annotations
@@ -12,14 +14,11 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
-from . import gaussian as gsn
 from . import inequalities as ineq
-from . import oracle
-from .phasespace import PhaseSpace, particles
+from .phasespace import PhaseSpace, particles, subset_size
 from .stabilizer import (
     CLASSICAL,
     ENUMERATION_GUARD,
@@ -64,58 +63,85 @@ def cmd_enumerate(args) -> int:
     if d**(2 * n) > ENUMERATION_GUARD:
         print(f"error: d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}", file=sys.stderr)
         return 2
-    out = _resolve(args.out, f"corpus_d{d}_n{n}.{args.format}")
+    out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     with open(out, "w") as fh:
-        if args.format == "csv":
-            fh.write("state,kind,mask,size,order,entropy_log_d\n")
         for idx, st in enumerate(enumerate_isotropic(PhaseSpace(n, d))):
-            vq, vc = entropy_vector(st, QUANTUM), entropy_vector(st, CLASSICAL)
-            if args.format == "json":
-                record = {
-                    "index": idx,
-                    "d": d,
-                    "n": n,
-                    "generators": [list(g) for g in st.M.generators()],
-                    "quantum": _vector_obj(vq),
-                    "classical": _vector_obj(vc),
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            else:
-                for vec in (vq, vc):
-                    for mask, size, order, val in vec.rows():
-                        fh.write(f"{idx},{vec.kind},{mask},{size},{order},{_fmt(val)}\n")
+            record = {
+                "index": idx,
+                "d": d,
+                "n": n,
+                "generators": [list(g) for g in st.M.generators()],
+                "quantum": _vector_obj(entropy_vector(st, QUANTUM)),
+                "classical": _vector_obj(entropy_vector(st, CLASSICAL)),
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(out)
     return 0
 
 
-def _load_corpus(path: str) -> list[dict]:
-    records = []
+def _block_orders(rec: dict, kind: str, sizes: list[int]) -> dict[int, int]:
+    """mask -> order of one block: masks 1..2^n - 1, size == popcount(mask), integer orders."""
+    entries = rec[kind]["entries"]
+    orders = {e["mask"]: e["order"] for e in entries}
+    if len(entries) != len(sizes) - 1 or sorted(orders) != list(range(1, len(sizes))):
+        raise ValueError(f"{kind} masks are not exactly 1..{len(sizes) - 1}")
+    for e in entries:
+        if e["size"] != sizes[e["mask"]] or type(e["order"]) is not int:
+            raise ValueError(f"{kind} entry {e}: needs size == popcount(mask) and an integer order")
+    return orders
+
+
+def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
+    """One entropy vector of ``kind`` per corpus record, read line by line.
+
+    Each record is validated as it is read, and a bad one raises ValueError
+    naming its 0-based index: one (d, n) within the enumeration guard across
+    the file, both blocks well formed (see _block_orders), and for each mask
+    0 < |M_I| <= d^|I| and the order identity |M_I| * |pi_I(M_perp)| == d^(2|I|).
+    """
+    d = n = None
+    idx = -1
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    if not records:
+            if not line.strip():
+                continue
+            idx += 1
+            try:
+                rec = json.loads(line)
+                if d is None:
+                    d, n = rec["d"], rec["n"]
+                    if not (type(d) is type(n) is int and d >= 2 and n >= 1):
+                        raise ValueError(f"(d, n) = ({d!r}, {n!r}) is not a valid size")
+                    if d ** (2 * n) > ENUMERATION_GUARD:
+                        raise ValueError(f"d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}")
+                    sizes = [subset_size(mask) for mask in range(1 << n)]
+                    powers = [d**k for k in range(2 * n + 1)]
+                elif (rec["d"], rec["n"]) != (d, n):
+                    raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
+                quantum = _block_orders(rec, QUANTUM, sizes)
+                classical = _block_orders(rec, CLASSICAL, sizes)
+                for mask, q in quantum.items():
+                    size, c = sizes[mask], classical[mask]
+                    if not 0 < q <= powers[size] or q * c != powers[2 * size]:
+                        raise ValueError(
+                            f"mask {mask}: orders ({q}, {c}) need 0 < quantum <= d^{size}"
+                            f" and quantum * classical == d^{2 * size}"
+                        )
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValueError(f"record {idx}: {detail}") from None
+            orders = quantum if kind == QUANTUM else classical
+            entries = {mask: ExactEntropy(sizes[mask], order, d, kind) for mask, order in orders.items()}
+            yield EntropyVector(n, d, kind, entries)
+    if d is None:
         raise ValueError("empty corpus")
-    return records
-
-
-def _record_vector(rec: dict, kind: str) -> EntropyVector:
-    obj = rec["quantum" if kind == QUANTUM else "classical"]
-    entries = {
-        e["mask"]: ExactEntropy(e["size"], e["order"], rec["d"], kind)
-        for e in obj["entries"]
-    }
-    return EntropyVector(rec["n"], rec["d"], kind, entries)
 
 
 def cmd_verify(args) -> int:
     try:
-        records = _load_corpus(args.corpus)
-        d, n = records[0]["d"], records[0]["n"]
-        for idx, rec in enumerate(records):
-            if (rec["d"], rec["n"]) != (d, n):
-                raise ValueError(f"record {idx} has (d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
+        vectors = _corpus_vectors(args.corpus, args.kind)
+        first = next(vectors)
+        n = first.n
         if args.inequality:
             with open(args.inequality) as fh:
                 ineqs = [ineq.Inequality.from_json(line) for line in fh if line.strip()]
@@ -124,16 +150,14 @@ def cmd_verify(args) -> int:
                     raise ValueError(f"inequality with n = {q.n} on a corpus with n = {n}")
         else:
             ineqs = ineq.instances(args.family, n)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        if args.balanced_only:
+            ineqs = [q for q in ineqs if ineq.is_balanced(q)]
+        if not ineqs:
+            raise ValueError("no inequalities selected")
+        report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.balanced_only:
-        ineqs = [q for q in ineqs if ineq.is_balanced(q)]
-    if not ineqs:
-        print("error: no inequalities selected", file=sys.stderr)
-        return 2
-    vectors = [_record_vector(rec, args.kind) for rec in records]
-    report = ineq.verify_batch(ineqs, vectors, args.family or "file")
     out = _resolve(args.out, "report.json")
     _write_lines(out, [report.to_json()])
     print(out)
@@ -141,6 +165,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import oracle
+
     d, n = args.d, args.n
     if d**n > oracle.DENSE_GUARD:
         print(f"error: d^n = {d ** n} exceeds dense guard {oracle.DENSE_GUARD}", file=sys.stderr)
@@ -162,6 +188,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    import numpy as np
+
+    from . import gaussian as gsn
+
     out = _resolve(args.out, f"gaussian_{args.gaussian_cmd}.json")
     if args.gaussian_cmd == "verify":
         rng = np.random.default_rng(args.seed)
@@ -211,7 +241,11 @@ def cmd_gaussian(args) -> int:
         print(out)
         return 0 if ok else 1
     if args.gaussian_cmd == "ingleton-search":
-        res = gsn.ingleton_search(args.seed, args.iters, args.strategy)
+        try:
+            res = gsn.ingleton_search(args.seed, args.iters, args.strategy)
+        except ValueError as exc:  # an unknown --strategy; gsn.STRATEGIES lists them
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         _write_lines(out, [res.to_json()])
         print(out)
         return 0 if res.found else 1
@@ -220,6 +254,10 @@ def cmd_gaussian(args) -> int:
 
 
 def _mc_fixture(name: str):
+    import numpy as np
+
+    from . import gaussian as gsn
+
     if name == "vacuum":
         return gsn.GaussianState.vacuum(1), 1
     if name == "thermal":
@@ -240,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="verify inequalities against a corpus file")
@@ -275,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gs.add_parser("ingleton-search")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--iters", type=int, default=20000)
-    g.add_argument("--strategy", choices=gsn.STRATEGIES, default="random-wishart")
+    g.add_argument("--strategy", default="random-wishart", help="a name in gaussian.STRATEGIES")
     g.add_argument("--out")
     g.set_defaults(func=cmd_gaussian)
 

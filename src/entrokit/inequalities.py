@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -31,6 +32,11 @@ class Inequality:
         for mask in self.nu:
             if not 1 <= mask < (1 << self.n):
                 raise ValueError(f"subset mask {mask} out of range for n={self.n}")
+
+    @cached_property
+    def size_weight(self) -> int:
+        """sum nu_I |I|: the d-power the quantum sum carries, S_I = |I| - log_d|M_I|."""
+        return sum(c * subset_size(mask) for mask, c in self.nu.items())
 
     def coefficients(self) -> dict[int, int]:
         return {m: c for m, c in sorted(self.nu.items()) if c}
@@ -59,29 +65,27 @@ def evaluate_exact(q: Inequality, h: EntropyVector):
     """Exact sign of sum nu_I S_I on a stabilizer entropy vector.
 
     Returns (nonnegative: bool, lhs: int, rhs: int) where the inequality holds
-    iff lhs >= rhs; lhs/rhs are products of d-powers and subgroup orders.
+    iff lhs >= rhs; lhs/rhs are products of d-powers and subgroup orders, and
+    the value of the sum is log_d(lhs / rhs).
     """
     if q.n != h.n:
         raise ValueError("inequality arity does not match entropy vector")
     # S_I = |I| - log_d(order) (quantum) or log_d(order) (classical); the sum
-    # is log_d of (d^shift * prod order^e_I), compared against 1.
-    shift = 0
+    # is log_d of (d^shift * prod order^(sign * nu_I)), compared against 1.
+    if h.kind == QUANTUM:
+        sign, shift = -1, q.size_weight
+    elif h.kind == CLASSICAL:
+        sign, shift = 1, 0
+    else:
+        raise ValueError(f"exact evaluation undefined for kind {h.kind!r}")
     lhs, rhs = 1, 1
+    entries = h.entries
     for mask, c in q.nu.items():
-        if not c:
-            continue
-        entry = h.entries[mask]
-        if h.kind == QUANTUM:
-            shift += c * subset_size(mask)
-            e = -c
-        elif h.kind == CLASSICAL:
-            e = c
-        else:
-            raise ValueError(f"exact evaluation undefined for kind {h.kind!r}")
+        e = sign * c
         if e > 0:
-            lhs *= entry.subgroup_order**e
+            lhs *= entries[mask].subgroup_order**e
         elif e < 0:
-            rhs *= entry.subgroup_order ** (-e)
+            rhs *= entries[mask].subgroup_order ** (-e)
     if shift > 0:
         lhs *= h.d**shift
     elif shift < 0:
@@ -284,16 +288,28 @@ def verify_batch(
     vectors: Iterable[EntropyVector],
     name: str = "batch",
 ) -> VerificationReport:
-    """Evaluate every inequality exactly on every entropy vector."""
+    """Evaluate every inequality exactly on every entropy vector.
+
+    The smallest value is tracked as the exact pair (lhs, rhs) with the
+    least ratio lhs/rhs, compared by cross-multiplying; ``min_slack`` is
+    log_d of that ratio, so a tight instance reads exactly 0.0.  Every vector
+    must share one d: ratios taken in different bases are not comparable.
+    """
     ineqs = list(inequalities)
     report = VerificationReport(name)
+    d = low = None
     for idx, vec in enumerate(vectors):
+        if d is None:
+            d = vec.d
+        elif vec.d != d:
+            raise ValueError(f"vector {idx} has d = {vec.d}, not {d}")
         report.states_checked += 1
         for q in ineqs:
             ok, lhs, rhs = evaluate_exact(q, vec)
-            slack = evaluate_float(q, vec.value)
-            if slack < report.min_slack:
-                report.min_slack = slack
+            if low is None or lhs * low[1] < low[0] * rhs:
+                low = (lhs, rhs)
             if not ok:
                 report.violations.append(Violation(idx, q.name, lhs, rhs))
+    if low is not None:
+        report.min_slack = (math.log(low[0]) - math.log(low[1])) / math.log(d)
     return report

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import entrokit
 from entrokit.cli import main
 
 pytestmark = pytest.mark.usefixtures("outdir")
@@ -29,13 +32,6 @@ def test_enumerate_json(outdir):
     rec = records[0]
     assert set(rec) == {"index", "d", "n", "generators", "quantum", "classical"}
     assert len(rec["quantum"]["entries"]) == 3
-
-
-def test_enumerate_csv(outdir):
-    assert main(["enumerate", "--d", "2", "--n", "1", "--format", "csv"]) == 0
-    lines = (outdir / "corpus_d2_n1.csv").read_text().splitlines()
-    assert lines[0] == "state,kind,mask,size,order,entropy_log_d"
-    assert len(lines) == 1 + 4 * 2  # 4 states x 2 kinds x 1 mask
 
 
 def test_enumerate_guard(outdir, capsys):
@@ -89,6 +85,30 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: rec["quantum"]["entries"].pop(1),
+        lambda rec: rec.pop("quantum"),
+        lambda rec: rec["quantum"]["entries"][0].update(order=0),
+        lambda rec: rec["quantum"]["entries"][0].update(order=10**30),
+    ],
+    ids=["missing-entry", "missing-quantum", "order-0", "order-1e30"],
+)
+def test_verify_rejects_malformed_record(outdir, capsys, edit):
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    rec = json.loads(lines[5])
+    edit(rec)
+    lines[5] = json.dumps(rec)
+    corpus.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert capsys.readouterr().err.startswith("error: record 5: ")
+    assert not (outdir / "report.json").exists()
+
+
 def test_verify_missing_corpus(outdir, capsys):
     assert main(["verify", "--corpus", str(outdir / "nope.json"), "--family", "ssa"]) == 2
     assert "error" in capsys.readouterr().err
@@ -121,6 +141,14 @@ def test_gaussian_ingleton_search(outdir):
     assert report["found"] and report["ingleton_value"] < -1e-6
 
 
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(entrokit.__file__))
+    code = "import sys, entrokit.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_seed_is_required(outdir):
     assert main(["gaussian", "mc", "--fixture", "vacuum"]) == 2
     assert main(["gaussian", "ingleton-search"]) == 2
@@ -132,7 +160,8 @@ def test_bad_arguments(outdir, capsys):
     assert main(["enumerate", "--d", "2", "--n", "0"]) == 2
     assert main(["gaussian", "mc", "--samples", "-5", "--seed", "1"]) == 2
     assert main(["nonsense"]) == 2
-    capsys.readouterr()
+    assert main(["gaussian", "ingleton-search", "--seed", "1", "--iters", "10", "--strategy", "bogus"]) == 2
+    assert "unknown strategy 'bogus'" in capsys.readouterr().err
 
 
 def test_output_dir_env_respected(outdir, tmp_path_factory):

@@ -205,6 +205,34 @@ def test_verify_batch_and_report(corpus):
     assert json.loads(empty.to_json())["min_slack"] is None
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 2), (6, 1)])
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_min_slack_matches_float_reference(d, n, kind, corpus):
+    # S_I >= 0 gives every n an instance; one vector at a time, the minimum
+    # is often irrational (1 - log_6 2 at d = 6)
+    qs = ineq.instances("ssa", n) + ineq.instances("monotonicity", n)
+    qs += [ineq.Inequality(n, {mask: 1}) for mask in range(1, 1 << n)]
+    vectors = [entropy_vector(st, kind) for st in corpus(d, n)]
+    floats = [min(ineq.evaluate_float(q, vec.value) for q in qs) for vec in vectors]
+    for vec, reference in zip(vectors, floats):
+        assert abs(ineq.verify_batch(qs, [vec]).min_slack - reference) <= 1e-12
+    assert abs(ineq.verify_batch(qs, vectors).min_slack - min(floats)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_min_slack_is_exactly_zero_when_tight(kind, corpus):
+    # at composite d the float sum of log_6 orders misses 0 by ~1e-16
+    vectors = [entropy_vector(st, kind) for st in corpus(6, 2)]
+    report = ineq.verify_batch(ineq.instances("ssa", 2), vectors)
+    assert report.passed and report.min_slack == 0.0
+
+
+def test_verify_batch_rejects_mixed_d(corpus):
+    vectors = [entropy_vector(corpus(2, 1)[0], QUANTUM), entropy_vector(corpus(3, 1)[0], QUANTUM)]
+    with pytest.raises(ValueError):
+        ineq.verify_batch([ineq.Inequality(1, {1: 1})], vectors)
+
+
 def test_mutual_information_helpers():
     nu = {}
     ineq.mutual_information(nu, 1, 2)
