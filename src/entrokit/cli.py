@@ -2,7 +2,8 @@
 
 Output is line-delimited JSON.  Every stochastic subcommand requires an
 explicit seed.  Exit codes: 0 pass, 1 verification failure, 2 usage or input
-error.  numpy and the modules built on it (``gaussian``, ``oracle``) are
+error; an unreadable input or unwritable output path is an input error.
+numpy and the modules built on it (``gaussian``, ``oracle``) are
 imported only by the subcommands that use them, so ``enumerate`` and
 ``verify`` start without them.
 """
@@ -137,6 +138,17 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
         raise ValueError("empty corpus")
 
 
+def _inequality(k: int, line: str, n: int) -> ineq.Inequality:
+    """The k-th (0-based) inequality of a file, validated against a corpus on n parties."""
+    try:
+        q = ineq.Inequality.from_json(line)
+        if q.n != n:
+            raise ValueError(f"n = {q.n} on a corpus with n = {n}")
+    except ValueError as exc:
+        raise ValueError(f"inequality {k}: {exc}") from None
+    return q
+
+
 def cmd_verify(args) -> int:
     try:
         vectors = _corpus_vectors(args.corpus, args.kind)
@@ -144,10 +156,8 @@ def cmd_verify(args) -> int:
         n = first.n
         if args.inequality:
             with open(args.inequality) as fh:
-                ineqs = [ineq.Inequality.from_json(line) for line in fh if line.strip()]
-            for q in ineqs:
-                if q.n != n:
-                    raise ValueError(f"inequality with n = {q.n} on a corpus with n = {n}")
+                lines = [line for line in fh if line.strip()]
+            ineqs = [_inequality(k, line, n) for k, line in enumerate(lines)]
         else:
             ineqs = ineq.instances(args.family, n)
         if args.balanced_only:
@@ -155,7 +165,7 @@ def cmd_verify(args) -> int:
         if not ineqs:
             raise ValueError("no inequalities selected")
         report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
-    except (OSError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _resolve(args.out, "report.json")
@@ -219,7 +229,11 @@ def cmd_gaussian(args) -> int:
             print(f"error: unknown fixture {args.fixture!r}", file=sys.stderr)
             return 2
         exact = gsn.renyi_alpha_classical(g, mask, 2.0)
-        est, se = gsn.mc_renyi2(g, mask, args.samples, args.seed)
+        try:
+            est, se = gsn.mc_renyi2(g, mask, args.samples, args.seed)
+        except ValueError as exc:  # too few --samples
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ok = abs(est - exact) <= max(3 * se, 0.01 * abs(exact))
         _write_lines(
             out,
@@ -332,7 +346,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if getattr(args, "d", 2) < 2:
         print("error: --d must be >= 2", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable input or unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -48,8 +48,27 @@ class Inequality:
 
     @classmethod
     def from_json(cls, text: str) -> "Inequality":
+        """One JSON object: int ``n >= 1``, ``nu`` mapping int masks to ints; else ValueError."""
         obj = json.loads(text)
-        return cls(obj["n"], {int(m): c for m, c in obj["nu"].items()}, obj.get("name", ""))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        n, nu = obj.get("n"), obj.get("nu")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n = {n!r} is not an int >= 1")
+        if not isinstance(nu, dict):
+            raise ValueError(f"nu = {nu!r} is not an object")
+        coeffs = {}
+        for key, c in nu.items():
+            try:
+                mask = int(key)
+            except ValueError:
+                raise ValueError(f"nu key {key!r} is not an int mask") from None
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} of mask {key!r} is not an int")
+            if mask in coeffs:
+                raise ValueError(f"mask {mask} appears twice in nu")
+            coeffs[mask] = c
+        return cls(n, coeffs, obj.get("name", ""))
 
 
 def is_balanced(q: Inequality) -> bool:

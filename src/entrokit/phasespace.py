@@ -1,6 +1,6 @@
 """Symplectic structure on the discrete phase space Z_d^{2n}.
 
-Coordinates are interleaved as (p_1, q_1, ..., p_n, q_n), so restricting to a
+Coordinates are interleaved as (p_1, q_1, ..., p_n, q_n), so projecting onto a
 subset of particles is a pure column selection.  Party subsets are passed as
 bitmasks with particle 1 on the least significant bit.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .zmod import ModMatrix, Subgroup, kernel_mod, tail_sublattice
+from .zmod import ModMatrix, Subgroup, kernel_mod
 
 
 def particles(mask: int) -> list[int]:
@@ -103,21 +103,6 @@ def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
             row.extend((g[2 * i + 1], -g[2 * i] % d))
         rows.append(row)
     return kernel_mod(ModMatrix.make(rows, d, ps.m))
-
-
-def restrict(ps: PhaseSpace, M: Subgroup, mask: int) -> Subgroup:
-    """M ∩ V_I, returned over the 2|I| coordinates of the particles in I."""
-    if not mask:
-        raise ValueError("empty particle subset")
-    inside = ps.coords(mask)
-    outside = [c for c in range(ps.m) if c not in inside]
-    if not outside:
-        return M
-    # Column-permute so the outside block comes first; the sublattice with a
-    # vanishing outside block is the part of M supported on I.
-    perm = outside + inside
-    rows = [[g[c] for c in perm] for g in M.generators()]
-    return tail_sublattice(rows, len(outside), ps.m, ps.d)
 
 
 def project_phase(ps: PhaseSpace, S: Subgroup, mask: int) -> Subgroup:

@@ -3,6 +3,9 @@
 Entropies are stored exactly as (subset size, subgroup order) pairs; decimal
 values only appear at the I/O boundary.  For the quantum entropy the relevant
 order is |M_I|, for the classical phase-space entropy it is |pi_I(M_perp)|.
+Both come from one subsystem kernel, ``phasespace.project_phase``: pi_Ibar
+restricted to M has kernel M_I = M ∩ V_I (Ibar the complement of I), so by
+the exact sequence 0 -> M_I -> M -> pi_Ibar(M) -> 0, |M_I| = |M| / |pi_Ibar(M)|.
 """
 
 from __future__ import annotations
@@ -92,11 +95,12 @@ class StabilizerState:
 
 
 def quantum_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
-    """S(rho(M)_I) = |I| - log_d |M_I|, exactly."""
+    """S(rho(M)_I) = |I| - log_d |M_I|, exactly, with |M_I| = |M| / |pi_Ibar(M)|."""
     if not mask:
         raise ValueError("empty particle subset")
-    mi = phsp.restrict(st.ps, st.M, mask)
-    return ExactEntropy(subset_size(mask), mi.order, st.ps.d, QUANTUM)
+    rest = st.ps.full_mask ^ mask
+    order = st.M.order // phsp.project_phase(st.ps, st.M, rest).order if rest else st.M.order
+    return ExactEntropy(subset_size(mask), order, st.ps.d, QUANTUM)
 
 
 def classical_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
@@ -140,26 +144,29 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
     subgroup.  Different representatives can still give the same subgroup;
     a set of canonical bases removes those duplicates.  The emission order is
     deterministic: by BFS level, then by parent, then by representative.
+    The frontier holds the yielded states, so each complement is built once,
+    by ``StabilizerState.perp``, and shared with the classical entropies.
     """
     if ps.d ** ps.m > ENUMERATION_GUARD:
         raise ValueError(
             f"d^(2n) = {ps.d ** ps.m} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    trivial = Subgroup.zero(ps.d, ps.m)
-    seen = {trivial}
+    trivial = StabilizerState(ps, Subgroup.zero(ps.d, ps.m))
+    seen = {trivial.M}
     frontier = [trivial]
-    yield StabilizerState(ps, trivial)
+    yield trivial
     while frontier:
         nxt = []
-        for M in frontier:
-            perp = phsp.symplectic_complement(ps, M)
-            for v in perp.elements():
+        for st in frontier:
+            M = st.M
+            for v in st.perp.elements():
                 if not any(v) or M.reduce(v) != v:
                     continue
                 M2 = M.extend(v)
                 if M2 in seen:
                     continue
                 seen.add(M2)
-                nxt.append(M2)
-                yield StabilizerState(ps, M2)
+                st2 = StabilizerState(ps, M2)
+                nxt.append(st2)
+                yield st2
         frontier = nxt

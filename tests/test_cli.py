@@ -109,6 +109,41 @@ def test_verify_rejects_malformed_record(outdir, capsys, edit):
     assert not (outdir / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"n": 2, "nu": {"1": 0.5, "3": -1}}',
+        '{"n": "2", "nu": {"1": 1, "3": -1}}',
+        '{"n": 2, "nu": [1, 2]}',
+        "[1, 2]",
+        '{"n": 2, "nu": {"1": true, "3": -1}}',
+        '{"n": 2, "nu": {"x": 1, "3": -1}}',
+        '{"n": 0, "nu": {"1": 1}}',
+        '{"n": 2, "nu": {"1": 1, "01": 1, "3": -1}}',
+    ],
+    ids=["float-coefficient", "string-n", "list-nu", "bare-list", "bool-coefficient", "bad-mask", "n-0", "repeated-mask"],
+)
+def test_verify_rejects_malformed_inequality(outdir, capsys, line):
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
+    path = outdir / "ineqs.json"
+    path.write_text('{"n": 2, "name": "ssa", "nu": {"1": 1, "2": 1, "3": -1}}\n' + line + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--corpus", corpus, "--inequality", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: inequality 1: ")
+    assert not (outdir / "report.json").exists()
+
+
+def test_enumerate_builds_each_complement_once(outdir, monkeypatch):
+    import entrokit.phasespace as phsp
+
+    calls = []
+    complement = phsp.symplectic_complement
+    monkeypatch.setattr(phsp, "symplectic_complement", lambda ps, M: calls.append(M) or complement(ps, M))
+    assert main(["enumerate", "--d", "2", "--n", "2"]) == 0
+    assert len(calls) == 31
+
+
 def test_verify_missing_corpus(outdir, capsys):
     assert main(["verify", "--corpus", str(outdir / "nope.json"), "--family", "ssa"]) == 2
     assert "error" in capsys.readouterr().err
@@ -162,6 +197,20 @@ def test_bad_arguments(outdir, capsys):
     assert main(["nonsense"]) == 2
     assert main(["gaussian", "ingleton-search", "--seed", "1", "--iters", "10", "--strategy", "bogus"]) == 2
     assert "unknown strategy 'bogus'" in capsys.readouterr().err
+    assert main(["gaussian", "mc", "--samples", "5000", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: need at least 10^4 samples")
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
+    bad = str(outdir / "missing" / "x.json")
+    for argv in (
+        ["enumerate", "--d", "2", "--n", "1"],
+        ["verify", "--corpus", corpus, "--family", "ssa"],
+        ["oracle-check", "--d", "2", "--n", "1"],
+        ["gaussian", "verify", "--n", "1", "--trials", "1", "--seed", "1"],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_output_dir_env_respected(outdir, tmp_path_factory):

@@ -8,7 +8,7 @@ import pytest
 
 from entrokit import oracle
 from entrokit.phasespace import PhaseSpace, particles, symplectic_form
-from entrokit.stabilizer import StabilizerState
+from entrokit.stabilizer import StabilizerState, quantum_entropy
 from entrokit.zmod import Subgroup
 
 
@@ -110,15 +110,13 @@ def test_spectral_entropy_validation():
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (4, 1)])
 def test_dense_entropies_match_subgroup_formula(d, n, corpus):
-    import entrokit.phasespace as phsp
-
     ps = PhaseSpace(n, d)
     for st in corpus(d, n):
         rho = oracle.dense_state(st)
         for mask in range(1, 1 << n):
             red = oracle.reduced_state(rho, ps, mask)
             exact = len(particles(mask)) - math.log(
-                phsp.restrict(ps, st.M, mask).order
+                quantum_entropy(st, mask).subgroup_order
             ) / math.log(d)
             for alpha in ("vonNeumann", 0.5, 2, 3):
                 assert abs(oracle.spectral_entropy(red, alpha, d) - exact) < oracle.ATOL_EIG
@@ -158,8 +156,6 @@ def test_wigner_rejects_even_d():
 def test_even_d_reduced_spectra_match_formula(corpus):
     # at even d a reduced stabilizer state can differ from the reference
     # projector by signs, but its spectrum is fully determined by |M_I|
-    import entrokit.phasespace as phsp
-
     d, n = 4, 2
     ps = PhaseSpace(n, d)
     for st in corpus(d, n)[::25]:
@@ -167,7 +163,7 @@ def test_even_d_reduced_spectra_match_formula(corpus):
         for mask in (1, 2, 3):
             red = oracle.reduced_state(rho, ps, mask)
             evals = np.sort(np.linalg.eigvalsh(red))[::-1]
-            order = phsp.restrict(ps, st.M, mask).order
+            order = quantum_entropy(st, mask).subgroup_order
             k = len(particles(mask))
             # flat spectrum: rank r = d^k / |M_I| eigenvalues equal to 1/r
             r = round(d**k / order)

@@ -9,7 +9,6 @@ from entrokit.phasespace import (
     is_isotropic,
     particles,
     project_phase,
-    restrict,
     subset_size,
     symplectic_complement,
     symplectic_form,
@@ -87,21 +86,6 @@ def test_is_isotropic():
     assert is_isotropic(ps2, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 4))
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 1)])
-def test_restrict_matches_brute_force(d, n, corpus):
-    ps = PhaseSpace(n, d)
-    for st in corpus(d, n):
-        for mask in range(1, 1 << n):
-            inside = ps.coords(mask)
-            outside = [c for c in range(ps.m) if c not in inside]
-            expect = {
-                tuple(v[c] for c in inside)
-                for v in st.M.elements()
-                if all(v[c] == 0 for c in outside)
-            }
-            assert set(restrict(ps, st.M, mask).elements()) == expect
-
-
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2)])
 def test_project_phase_matches_element_image(d, n, corpus):
     ps = PhaseSpace(n, d)
@@ -113,9 +97,7 @@ def test_project_phase_matches_element_image(d, n, corpus):
             assert set(project_phase(ps, perp, mask).elements()) == expect
 
 
-def test_restrict_rejects_empty_subset():
+def test_project_phase_rejects_empty_subset():
     ps = PhaseSpace(1, 2)
-    with pytest.raises(ValueError):
-        restrict(ps, Subgroup.zero(2, 2), 0)
     with pytest.raises(ValueError):
         project_phase(ps, Subgroup.zero(2, 2), 0)

@@ -105,6 +105,18 @@ def test_order_identity_everywhere(d, n, corpus):
         assert order_identity_check(st)
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 1), (4, 2), (6, 1)])
+def test_quantum_order_matches_brute_force(d, n, corpus):
+    # |M_I| from the exact sequence against a count of M ∩ V_I; composite d
+    # covers subgroups M that are not free
+    ps = PhaseSpace(n, d)
+    for st in corpus(d, n):
+        for mask in range(1, 1 << n):
+            outside = [c for c in range(ps.m) if c not in ps.coords(mask)]
+            count = sum(all(v[c] == 0 for c in outside) for v in st.M.elements())
+            assert quantum_entropy(st, mask).subgroup_order == count
+
+
 def test_entropy_vector_structure():
     ps = PhaseSpace(2, 3)
     st = StabilizerState(ps, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, -1]], 3, 4))
