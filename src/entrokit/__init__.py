@@ -20,7 +20,7 @@ from .stabilizer import (
     quantum_entropy,
     order_identity_check,
 )
-from .zmod import ModMatrix, Subgroup, kernel_mod, subgroup_from_generators
+from .zmod import ModMatrix, Subgroup, kernel_mod
 
 __all__ = [
     "CLASSICAL",
@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_isotropic",
     "kernel_mod",
     "quantum_entropy",
-    "subgroup_from_generators",
     "symplectic_form",
     "order_identity_check",
 ]

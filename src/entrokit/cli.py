@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import inequalities as ineq
 from .phasespace import PhaseSpace, particles, subset_size
@@ -41,12 +41,6 @@ def _resolve(path: Optional[str], default_name: str) -> str:
     if path:
         return path
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
-
-
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _vector_obj(vec: EntropyVector) -> dict:
@@ -108,7 +102,7 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                 continue
             idx += 1
             try:
-                rec = json.loads(line)
+                rec = json.loads(line, object_pairs_hook=ineq.unique_keys)
                 if d is None:
                     d, n = rec["d"], rec["n"]
                     if not (type(d) is type(n) is int and d >= 2 and n >= 1):
@@ -169,7 +163,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _resolve(args.out, "report.json")
-    _write_lines(out, [report.to_json()])
+    with open(out, "w") as fh:
+        fh.write(report.to_json() + "\n")
     print(out)
     return 0 if report.passed else 1
 
@@ -184,15 +179,16 @@ def cmd_oracle_check(args) -> int:
     checks = {"states": 0, "entropy": 0.0, "projector": 0.0, "wigner": 0.0}
     tolerances = {"projector": oracle.ATOL_STRUCT, "entropy": oracle.ATOL_EIG, "wigner": oracle.ATOL_WIGNER}
     ok = True
-    for st in enumerate_isotropic(PhaseSpace(n, d)):
-        checks["states"] += 1
-        for key, err in oracle.cross_check(st).items():
-            checks[key] = max(checks[key], err)
-            ok &= err < tolerances[key]
-    report = {"d": d, "n": n, "passed": bool(ok)}
-    report.update({k: (_fmt(v) if isinstance(v, float) else v) for k, v in checks.items()})
     out = _resolve(args.out, f"oracle_check_d{d}_n{n}.json")
-    _write_lines(out, [json.dumps(report, sort_keys=True)])
+    with open(out, "w") as fh:
+        for st in enumerate_isotropic(PhaseSpace(n, d)):
+            checks["states"] += 1
+            for key, err in oracle.cross_check(st).items():
+                checks[key] = max(checks[key], err)
+                ok &= err < tolerances[key]
+        report = {"d": d, "n": n, "passed": bool(ok)}
+        report.update({k: (_fmt(v) if isinstance(v, float) else v) for k, v in checks.items()})
+        fh.write(json.dumps(report, sort_keys=True) + "\n")
     print(out)
     return 0 if ok else 1
 
@@ -202,69 +198,61 @@ def cmd_gaussian(args) -> int:
 
     from . import gaussian as gsn
 
-    out = _resolve(args.out, f"gaussian_{args.gaussian_cmd}.json")
-    if args.gaussian_cmd == "verify":
-        rng = np.random.default_rng(args.seed)
-        n = args.n
-        worst = 0.0
-        for _ in range(args.trials):
-            a = rng.standard_normal((2 * n, 2 * n + 2))
-            g = gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n))
-            for mask in range(1, 1 << n):
-                k = len(particles(mask))
-                s2 = gsn.renyi2_quantum(g, mask)
-                for alpha in (0.5, 2.0, 3.0):
-                    via = gsn.renyi_alpha_classical(g, mask, alpha) - k * gsn.renyi_correction(alpha)
-                    worst = max(worst, abs(via - s2))
-        ok = worst < 1e-10
-        _write_lines(
-            out,
-            [json.dumps({"passed": ok, "trials": args.trials, "n": n, "seed": args.seed, "max_error": _fmt(worst)}, sort_keys=True)],
-        )
-        print(out)
-        return 0 if ok else 1
+    # every rc-2 check runs before --out is opened, so none leaves a file behind
     if args.gaussian_cmd == "mc":
         g, mask = _mc_fixture(args.fixture)
         if g is None:
             print(f"error: unknown fixture {args.fixture!r}", file=sys.stderr)
             return 2
-        exact = gsn.renyi_alpha_classical(g, mask, 2.0)
-        try:
+        if args.samples < gsn.MC_MIN_SAMPLES:
+            print("error: need at least 10^4 samples", file=sys.stderr)
+            return 2
+    if args.gaussian_cmd == "ingleton-search" and args.strategy not in gsn.STRATEGIES:
+        print(f"error: unknown strategy {args.strategy!r}", file=sys.stderr)
+        return 2
+    out = _resolve(args.out, f"gaussian_{args.gaussian_cmd}.json")
+    with open(out, "w") as fh:
+        if args.gaussian_cmd == "verify":
+            rng = np.random.default_rng(args.seed)
+            n = args.n
+            worst = 0.0
+            for _ in range(args.trials):
+                a = rng.standard_normal((2 * n, 2 * n + 2))
+                g = gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n))
+                for mask in range(1, 1 << n):
+                    k = len(particles(mask))
+                    s2 = gsn.renyi2_quantum(g, mask)
+                    for alpha in (0.5, 2.0, 3.0):
+                        via = gsn.renyi_alpha_classical(g, mask, alpha) - k * gsn.renyi_correction(alpha)
+                        worst = max(worst, abs(via - s2))
+            ok = worst < 1e-10
+            line = json.dumps(
+                {"passed": ok, "trials": args.trials, "n": n, "seed": args.seed, "max_error": _fmt(worst)},
+                sort_keys=True,
+            )
+        elif args.gaussian_cmd == "mc":
+            exact = gsn.renyi_alpha_classical(g, mask, 2.0)
             est, se = gsn.mc_renyi2(g, mask, args.samples, args.seed)
-        except ValueError as exc:  # too few --samples
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        ok = abs(est - exact) <= max(3 * se, 0.01 * abs(exact))
-        _write_lines(
-            out,
-            [
-                json.dumps(
-                    {
-                        "fixture": args.fixture,
-                        "passed": ok,
-                        "samples": args.samples,
-                        "seed": args.seed,
-                        "exact": _fmt(exact),
-                        "estimate": _fmt(est),
-                        "stderr": _fmt(se),
-                    },
-                    sort_keys=True,
-                )
-            ],
-        )
-        print(out)
-        return 0 if ok else 1
-    if args.gaussian_cmd == "ingleton-search":
-        try:
+            ok = abs(est - exact) <= max(3 * se, 0.01 * abs(exact))
+            line = json.dumps(
+                {
+                    "fixture": args.fixture,
+                    "passed": ok,
+                    "samples": args.samples,
+                    "seed": args.seed,
+                    "exact": _fmt(exact),
+                    "estimate": _fmt(est),
+                    "stderr": _fmt(se),
+                },
+                sort_keys=True,
+            )
+        else:  # ingleton-search; argparse admits no other subcommand
             res = gsn.ingleton_search(args.seed, args.iters, args.strategy)
-        except ValueError as exc:  # an unknown --strategy; gsn.STRATEGIES lists them
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _write_lines(out, [res.to_json()])
-        print(out)
-        return 0 if res.found else 1
-    print(f"error: unknown gaussian subcommand {args.gaussian_cmd!r}", file=sys.stderr)
-    return 2
+            ok = res.found
+            line = res.to_json()
+        fh.write(line + "\n")
+    print(out)
+    return 0 if ok else 1
 
 
 def _mc_fixture(name: str):

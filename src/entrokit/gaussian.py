@@ -136,6 +136,9 @@ def shannon_classical(g: GaussianState, mask: int) -> float:
     return 0.5 * _logdet(g.submatrix(mask)) + k * (math.log(2 * math.pi) + 1.0)
 
 
+MC_MIN_SAMPLES = 10**4
+
+
 def mc_renyi2(
     g: GaussianState, mask: int, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -144,7 +147,7 @@ def mc_renyi2(
     Importance sampling with W itself: E_W[W] = int W^2.  Returns the
     estimate of H_2 and a jackknife standard error; deterministic per seed.
     """
-    if samples < 10**4:
+    if samples < MC_MIN_SAMPLES:
         raise ValueError("need at least 10^4 samples")
     if not mask:
         raise ValueError("empty mode subset")

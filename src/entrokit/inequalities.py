@@ -20,6 +20,19 @@ from .phasespace import subset_size
 from .stabilizer import CLASSICAL, QUANTUM, EntropyVector
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads`` that rejects a repeated key.
+
+    Plain ``json.loads`` keeps the last of two equal keys and drops the first
+    silently; this raises ValueError instead.
+    """
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {next(k for k in obj if keys.count(k) > 1)!r} appears twice")
+    return obj
+
+
 @dataclass(frozen=True)
 class Inequality:
     n: int
@@ -48,8 +61,8 @@ class Inequality:
 
     @classmethod
     def from_json(cls, text: str) -> "Inequality":
-        """One JSON object: int ``n >= 1``, ``nu`` mapping int masks to ints; else ValueError."""
-        obj = json.loads(text)
+        """One JSON object, no key repeated: int ``n >= 1``, ``nu`` mapping int masks to ints; else ValueError."""
+        obj = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         n, nu = obj.get("n"), obj.get("nu")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, Optional
 
 from . import phasespace as phsp
@@ -137,36 +138,54 @@ def entropy_vector(st: StabilizerState, kind: str = QUANTUM) -> EntropyVector:
 def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
     """Every isotropic subgroup of Z_d^{2n}, each exactly once.
 
-    Breadth-first extension over coset representatives: from M, adjoin each
-    nonzero v in M_perp with v == M.reduce(v).  Any v in M_perp commutes with
-    all of M mod d, so the extension stays isotropic, and M + <v> equals
-    M + <M.reduce(v)>, so skipping the other members of v + M loses no
-    subgroup.  Different representatives can still give the same subgroup;
-    a set of canonical bases removes those duplicates.  The emission order is
-    deterministic: by BFS level, then by parent, then by representative.
-    The frontier holds the yielded states, so each complement is built once,
-    by ``StabilizerState.perp``, and shared with the classical entropies.
+    Orderly generation over the canonical form (R. C. Read, "Every one a
+    winner", 1978): each subgroup is built directly as its HNF basis, the
+    ``Subgroup.basis`` tuple, so no duplicate arises, no HNF is computed and
+    no set of seen subgroups is kept.  Rows are chosen from the last column
+    up.  Row i is (0, ..., 0, p, t_{i+1}, ..., t_{2n-1}) with a pivot p | d
+    (p = d gives the trivial row d*e_i) and each tail entry t_j in [0, p_j),
+    p_j the pivot already chosen at column j.  A row is kept only if
+      - (d/p)*t reduces to 0 against the rows below it: the lattice then
+        contains d*Z^{2n}, so the rows are the HNF of a subgroup, and
+      - it is orthogonal mod d to every nontrivial row below it, so the
+        subgroup stays isotropic.
+    A branch is pruned once its order passes d^n, the largest isotropic order.
+
+    The emission order is deterministic: depth first from column 2n-1 down to
+    column 0; at each column the pivots in decreasing order, so the trivial
+    row comes first, and for each pivot the tails in lexicographic order.
+    The trivial subgroup is emitted first.  A corpus's ``index`` follows this
+    order.
     """
     if ps.d ** ps.m > ENUMERATION_GUARD:
         raise ValueError(
             f"d^(2n) = {ps.d ** ps.m} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    trivial = StabilizerState(ps, Subgroup.zero(ps.d, ps.m))
-    seen = {trivial.M}
-    frontier = [trivial]
-    yield trivial
-    while frontier:
-        nxt = []
-        for st in frontier:
-            M = st.M
-            for v in st.perp.elements():
-                if not any(v) or M.reduce(v) != v:
-                    continue
-                M2 = M.extend(v)
-                if M2 in seen:
-                    continue
-                seen.add(M2)
-                st2 = StabilizerState(ps, M2)
-                nxt.append(st2)
-                yield st2
-        frontier = nxt
+    d, m, n = ps.d, ps.m, ps.n
+    divisors = [p for p in range(d, 0, -1) if d % p == 0]
+    trivial = tuple(tuple(d * (j == i) for j in range(m)) for i in range(m))
+
+    def rows_from(i: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[StabilizerState]:
+        # rows: the HNF rows already chosen, at columns i+1 .. 2n-1
+        if i < 0:
+            yield StabilizerState(ps, Subgroup(d, m, rows))
+            return
+        # the subgroup the chosen rows span; its rows at columns <= i are trivial
+        below = Subgroup(d, m, trivial[: i + 1] + rows)
+        gens = below.generators()
+        for p in divisors:
+            if below.order * (d // p) > d**n:
+                break
+            if p == d:
+                yield from rows_from(i - 1, (trivial[i],) + rows)
+                continue
+            for tail in product(*(range(r[j]) for j, r in enumerate(rows, i + 1))):
+                row = (0,) * i + (p,) + tail
+                # isotropy: [row, g] = sum_k p_k q'_k - q_k p'_k == 0 mod d for each
+                # nontrivial row g below; HNF: (d/p)*row = d*e_i + (d/p)*tail lies in below
+                if not any(
+                    sum(row[k] * g[k + 1] - row[k + 1] * g[k] for k in range(0, m, 2)) % d for g in gens
+                ) and below.contains([(d // p) * x for x in row]):
+                    yield from rows_from(i - 1, (row,) + rows)
+
+    yield from rows_from(m - 1, ())

@@ -9,7 +9,6 @@ orders are exact Python integers; nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -128,10 +127,6 @@ class Subgroup:
     def order(self) -> int:
         return prod(self.d // self.basis[i][i] for i in range(self.m))
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(self.basis[i][i] == self.d for i in range(self.m))
-
     def generators(self) -> list[tuple[int, ...]]:
         """Canonical basis rows reduced mod d, trivial rows dropped."""
         out = []
@@ -161,28 +156,6 @@ class Subgroup:
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
 
-    def intersect(self, other: "Subgroup") -> "Subgroup":
-        if (self.d, self.m) != (other.d, other.m):
-            raise ValueError("mismatched ambient groups")
-        d, m = self.d, self.m
-        # Rows (u, u) for u in self and (w, 0) for w in other span a lattice in
-        # Z^{2m} whose vectors with vanishing first block are exactly
-        # (0, x) with x in the intersection.
-        rows = [list(g) + list(g) for g in self.generators()]
-        rows += [list(g) + [0] * m for g in other.generators()]
-        return tail_sublattice(rows, m, 2 * m, d)
-
-    def join(self, other: "Subgroup") -> "Subgroup":
-        """Smallest subgroup containing both (the sum)."""
-        if (self.d, self.m) != (other.d, other.m):
-            raise ValueError("mismatched ambient groups")
-        return Subgroup.from_generators(
-            self.generators() + other.generators(), self.d, self.m
-        )
-
-    def extend(self, v: Sequence[int]) -> "Subgroup":
-        return Subgroup.from_generators(self.generators() + [tuple(v)], self.d, self.m)
-
     def project(self, coords: Sequence[int]) -> "Subgroup":
         """Image under deleting all columns outside ``coords`` (0-based)."""
         coords = list(coords)
@@ -207,31 +180,6 @@ class Subgroup:
                         v[j] = (v[j] + c * row[j]) % d
             yield tuple(v)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "m": self.m, "generators": [list(g) for g in self.generators()]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Subgroup":
-        obj = json.loads(text)
-        return cls.from_generators(obj["generators"], obj["d"], obj["m"])
-
-
-def tail_sublattice(rows: Sequence[Sequence[int]], k: int, ncols: int, d: int) -> Subgroup:
-    """The subgroup {x in Z_d^(ncols-k) : (0, x) in span(rows) + d*Z^ncols}.
-
-    HNF rows whose first k entries vanish mod d form a basis of the part of
-    the lattice with a vanishing leading block; their tails generate it.
-    """
-    hnf = _hermite_rows(rows, ncols, d)
-    gens = [row[k:] for row in hnf if not any(x % d for x in row[:k])]
-    return Subgroup.from_generators(gens, d, ncols - k)
-
-
-def subgroup_from_generators(G: ModMatrix) -> Subgroup:
-    return Subgroup.from_generators(G.rows, G.d, G.ncols)
-
 
 def kernel_mod(A: ModMatrix) -> Subgroup:
     """The subgroup {v in Z_d^m : A v == 0 (mod d)} for an r x m matrix A."""
@@ -244,4 +192,7 @@ def kernel_mod(A: ModMatrix) -> Subgroup:
         e = [0] * m
         e[i] = 1
         rows.append([A.rows[j][i] for j in range(r)] + e)
-    return tail_sublattice(rows, r, r + m, d)
+    # HNF rows whose first r entries vanish mod d are a basis of that part
+    hnf = _hermite_rows(rows, r + m, d)
+    gens = [row[r:] for row in hnf if not any(x % d for x in row[:r])]
+    return Subgroup.from_generators(gens, d, m)

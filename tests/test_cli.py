@@ -92,16 +92,17 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         lambda rec: rec.pop("quantum"),
         lambda rec: rec["quantum"]["entries"][0].update(order=0),
         lambda rec: rec["quantum"]["entries"][0].update(order=10**30),
+        lambda rec: '{"d": 2, ' + json.dumps(rec)[1:],
     ],
-    ids=["missing-entry", "missing-quantum", "order-0", "order-1e30"],
+    ids=["missing-entry", "missing-quantum", "order-0", "order-1e30", "repeated-d"],
 )
 def test_verify_rejects_malformed_record(outdir, capsys, edit):
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
     lines = corpus.read_text().splitlines()
     rec = json.loads(lines[5])
-    edit(rec)
-    lines[5] = json.dumps(rec)
+    edited = edit(rec)  # a str is the whole new line
+    lines[5] = edited if isinstance(edited, str) else json.dumps(rec)
     corpus.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
@@ -120,8 +121,19 @@ def test_verify_rejects_malformed_record(outdir, capsys, edit):
         '{"n": 2, "nu": {"x": 1, "3": -1}}',
         '{"n": 0, "nu": {"1": 1}}',
         '{"n": 2, "nu": {"1": 1, "01": 1, "3": -1}}',
+        '{"n": 2, "nu": {"1": -5, "2": 1, "3": -1, "1": 1}}',
     ],
-    ids=["float-coefficient", "string-n", "list-nu", "bare-list", "bool-coefficient", "bad-mask", "n-0", "repeated-mask"],
+    ids=[
+        "float-coefficient",
+        "string-n",
+        "list-nu",
+        "bare-list",
+        "bool-coefficient",
+        "bad-mask",
+        "n-0",
+        "repeated-mask",
+        "repeated-key",
+    ],
 )
 def test_verify_rejects_malformed_inequality(outdir, capsys, line):
     corpus = str(outdir / "corpus.json")
@@ -199,6 +211,8 @@ def test_bad_arguments(outdir, capsys):
     assert "unknown strategy 'bogus'" in capsys.readouterr().err
     assert main(["gaussian", "mc", "--samples", "5000", "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: need at least 10^4 samples")
+    # no rc-2 path leaves a report behind
+    assert not list(outdir.iterdir())
     corpus = str(outdir / "corpus.json")
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
     bad = str(outdir / "missing" / "x.json")
@@ -207,10 +221,22 @@ def test_bad_arguments(outdir, capsys):
         ["verify", "--corpus", corpus, "--family", "ssa"],
         ["oracle-check", "--d", "2", "--n", "1"],
         ["gaussian", "verify", "--n", "1", "--trials", "1", "--seed", "1"],
+        ["gaussian", "mc", "--samples", "10000", "--seed", "1"],
+        ["gaussian", "ingleton-search", "--seed", "1", "--iters", "10"],
     ):
         capsys.readouterr()
         assert main(argv + ["--out", bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_check_opens_out_before_the_work(outdir, monkeypatch, capsys):
+    from entrokit import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "cross_check", lambda st: calls.append(st) or {})
+    assert main(["oracle-check", "--d", "4", "--n", "2", "--out", str(outdir / "missing" / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_output_dir_env_respected(outdir, tmp_path_factory):

@@ -56,6 +56,23 @@ def test_enumeration_is_deterministic_and_duplicate_free():
     assert len(set(a)) == len(a)
 
 
+@pytest.mark.parametrize("d,n", sorted(EXPECTED_COUNTS))
+def test_enumerated_bases_are_their_own_hnf(d, n, corpus):
+    # with the frozen counts, distinctness and isotropy this pins the whole set
+    for st in corpus(d, n):
+        assert Subgroup.from_generators(st.M.basis, d, 2 * n).basis == st.M.basis
+
+
+def test_enumeration_makes_no_hnf_call(monkeypatch):
+    import entrokit.zmod as zmod
+
+    calls = []
+    hermite = zmod._hermite_rows
+    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: calls.append(a) or hermite(*a))
+    assert sum(1 for _ in enumerate_isotropic(PhaseSpace(2, 6))) == EXPECTED_COUNTS[(6, 2)]
+    assert calls == []
+
+
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         list(enumerate_isotropic(PhaseSpace(6, 5)))  # 5^12 > 2^24
