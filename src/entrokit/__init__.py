@@ -7,7 +7,7 @@ by exact big-integer arithmetic, and implements the Gaussian Renyi-entropy
 formulas with a Monte-Carlo oracle and an Ingleton-violation search.
 """
 
-from .phasespace import PhaseSpace, SymplecticValue, symplectic_form
+from .phasespace import PhaseSpace, symplectic_form
 from .stabilizer import (
     CLASSICAL,
     QUANTUM,
@@ -31,7 +31,6 @@ __all__ = [
     "PhaseSpace",
     "StabilizerState",
     "Subgroup",
-    "SymplecticValue",
     "classical_entropy",
     "entropy_vector",
     "enumerate_isotropic",

@@ -144,27 +144,31 @@ def _inequality(k: int, line: str, n: int) -> ineq.Inequality:
 
 
 def cmd_verify(args) -> int:
+    out = _resolve(args.out, "report.json")
+    if os.path.realpath(out) in {os.path.realpath(p) for p in (args.corpus, args.inequality) if p}:
+        print(f"error: --out {out} is an input file", file=sys.stderr)
+        return 2
+    fh = open(out, "w")  # before the work, so that a bad --out fails at once
     try:
-        vectors = _corpus_vectors(args.corpus, args.kind)
-        first = next(vectors)
-        n = first.n
-        if args.inequality:
-            with open(args.inequality) as fh:
-                lines = [line for line in fh if line.strip()]
-            ineqs = [_inequality(k, line, n) for k, line in enumerate(lines)]
-        else:
-            ineqs = ineq.instances(args.family, n)
-        if args.balanced_only:
-            ineqs = [q for q in ineqs if ineq.is_balanced(q)]
-        if not ineqs:
-            raise ValueError("no inequalities selected")
-        report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
-    except ValueError as exc:
+        with fh:
+            vectors = _corpus_vectors(args.corpus, args.kind)
+            first = next(vectors)
+            if args.inequality:
+                with open(args.inequality) as inp:
+                    lines = [line for line in inp if line.strip()]
+                ineqs = [_inequality(k, line, first.n) for k, line in enumerate(lines)]
+            else:
+                ineqs = ineq.instances(args.family, first.n)
+            if args.balanced_only:
+                ineqs = [q for q in ineqs if ineq.is_balanced(q)]
+            if not ineqs:
+                raise ValueError("no inequalities selected")
+            report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
+            fh.write(report.to_json() + "\n")
+    except (OSError, ValueError) as exc:
+        os.remove(out)  # no rc-2 path leaves a report
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = _resolve(args.out, "report.json")
-    with open(out, "w") as fh:
-        fh.write(report.to_json() + "\n")
     print(out)
     return 0 if report.passed else 1
 

@@ -1,13 +1,14 @@
 """Symplectic structure on the discrete phase space Z_d^{2n}.
 
-Coordinates are interleaved as (p_1, q_1, ..., p_n, q_n), so projecting onto a
-subset of particles is a pure column selection.  Party subsets are passed as
-bitmasks with particle 1 on the least significant bit.
+Coordinates are interleaved as (p_1, q_1, ..., p_n, q_n), so selecting or
+reordering particles is a selection or permutation of column pairs.  Party
+subsets are passed as bitmasks with particle 1 on the least significant bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .zmod import ModMatrix, Subgroup, kernel_mod
@@ -56,40 +57,28 @@ class PhaseSpace:
         return out
 
 
-@dataclass(frozen=True)
-class SymplecticValue:
-    """The symplectic form evaluated on canonical lifts, kept mod 2d and mod d."""
-
-    value: int
-    reduced_mod_d: int
+def form(v: Sequence[int], w: Sequence[int]) -> int:
+    """sum_i p_i q'_i - q_i p'_i on integer vectors of any even length, not reduced mod d."""
+    return sum(v[k] * w[k + 1] - v[k + 1] * w[k] for k in range(0, len(v), 2))
 
 
-def symplectic_form(ps: PhaseSpace, v: Sequence[int], w: Sequence[int]) -> SymplecticValue:
-    """[v, w] = sum_i p_i q'_i - q_i p'_i on the canonical integer lifts."""
+def symplectic_form(ps: PhaseSpace, v: Sequence[int], w: Sequence[int]) -> int:
+    """[v, w] = sum_i p_i q'_i - q_i p'_i, as an int in [0, d)."""
     if len(v) != ps.m or len(w) != ps.m:
         raise ValueError(f"vectors must have length {ps.m}")
-    d = ps.d
-    total = 0
-    for i in range(ps.n):
-        p, q = v[2 * i] % d, v[2 * i + 1] % d
-        pp, qq = w[2 * i] % d, w[2 * i + 1] % d
-        total += p * qq - q * pp
-    return SymplecticValue(total % (2 * d), total % d)
+    return form(v, w) % ps.d
 
 
 def is_isotropic(ps: PhaseSpace, M: Subgroup) -> bool:
-    """True iff the form vanishes mod d on all pairs of basis vectors.
+    """True iff the form vanishes mod d on all pairs of generators.
 
-    The mod-d condition is the Weyl commutation criterion; subgroups passing
-    it but failing the mod-2d test still yield valid projectors (the even-d
-    ordered-product construction absorbs the sign bookkeeping).
+    The mod-d condition is the Weyl commutation criterion.  Even-d subgroups
+    passing it still yield valid projectors: the ordered-product construction
+    absorbs the sign bookkeeping.
     """
     gens = M.generators()
-    for i, g in enumerate(gens):
-        for h in gens[i:]:
-            if symplectic_form(ps, g, h).reduced_mod_d:
-                return False
-    return True
+    d = ps.d
+    return not any(form(g, h) % d for i, g in enumerate(gens) for h in gens[i + 1 :])
 
 
 def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
@@ -105,10 +94,43 @@ def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
     return kernel_mod(ModMatrix.make(rows, d, ps.m))
 
 
-def project_phase(ps: PhaseSpace, S: Subgroup, mask: int) -> Subgroup:
-    """pi_I(S): image of S under projection onto the particles in I."""
-    if not mask:
-        raise ValueError("empty particle subset")
-    if mask == ps.full_mask:
-        return S
-    return S.project(ps.coords(mask))
+@lru_cache(maxsize=None)
+def chain_orders(n: int) -> tuple[tuple[int, ...], ...]:
+    """C(n, floor(n/2)) particle orders whose suffix sets cover every nonempty subset.
+
+    de Bruijn's symmetric chains (de Bruijn, van Ebbenhorst Tengbergen and Kruyswijk, 1951):
+    particle x turns a chain A_1 < ... < A_k into A_1 < ... < A_k < A_k + {x} and, if
+    k > 1, A_1 + {x} < ... < A_{k-1} + {x}.  Each chain, extended to a maximal one, is read
+    back to front as an order; adding x from n-1 down makes the first order the identity.
+    """
+    chains = [((), ())]  # (A_1, the particles added along the chain)
+    for x in range(n - 1, -1, -1):
+        chains = [(base, up + (x,)) for base, up in chains] + [(base + (x,), up[:-1]) for base, up in chains if up]
+    orders = []
+    for base, up in chains:
+        seq = base + up
+        orders.append(tuple(reversed(seq + tuple(x for x in range(n) if x not in seq))))
+    return tuple(orders)
+
+
+def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> dict[int, int]:
+    """mask -> |S ∩ V_mask| for every nonempty mask, V_mask the vectors supported on mask.
+
+    With S's particles permuted by an order pi of ``chain_orders``, HNF rows
+    2s onward span S ∩ V_I for I = pi(s..n-1), so |S ∩ V_I| is the product of
+    d / h_ii over them.  The identity order's HNF is ``S.basis`` itself.
+    """
+    d, n = ps.d, ps.n
+    gens = S.generators()
+    out = {}
+    for pi in chain_orders(n):
+        basis = S.basis
+        if pi != tuple(range(n)):
+            cols = [c for x in pi for c in (2 * x, 2 * x + 1)]
+            basis = Subgroup.from_generators([[g[c] for c in cols] for g in gens], d, ps.m).basis
+        order, mask = 1, 0
+        for s in range(n - 1, -1, -1):
+            order *= (d // basis[2 * s][2 * s]) * (d // basis[2 * s + 1][2 * s + 1])
+            mask |= 1 << pi[s]
+            out[mask] = order
+    return out

@@ -1,11 +1,12 @@
 """Entropy vectors of stabilizer states from the subgroup description alone.
 
 Entropies are stored exactly as (subset size, subgroup order) pairs; decimal
-values only appear at the I/O boundary.  For the quantum entropy the relevant
-order is |M_I|, for the classical phase-space entropy it is |pi_I(M_perp)|.
-Both come from one subsystem kernel, ``phasespace.project_phase``: pi_Ibar
-restricted to M has kernel M_I = M ∩ V_I (Ibar the complement of I), so by
-the exact sequence 0 -> M_I -> M -> pi_Ibar(M) -> 0, |M_I| = |M| / |pi_Ibar(M)|.
+values only appear at the I/O boundary.  Both vectors come from one chain
+kernel, ``phasespace.subsystem_orders`` (|S ∩ V_I| for every subset I from
+C(n, floor(n/2)) HNFs of S): the quantum order is |M_I| = |M ∩ V_I|, the
+classical one |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar|, since pi_I on
+M_perp has kernel M_perp ∩ V_Ibar.  The order identity
+|M_I| * |pi_I(M_perp)| = d^{2|I|} thus still compares two different subgroups.
 """
 
 from __future__ import annotations
@@ -95,44 +96,41 @@ class StabilizerState:
         return hash(self.M)
 
 
+def _entry(st: StabilizerState, mask: int, kind: str) -> ExactEntropy:
+    if not 0 < mask <= st.ps.full_mask:
+        raise ValueError(f"particle subset {mask} is empty or out of range")
+    return entropy_vector(st, kind).entries[mask]
+
+
 def quantum_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
-    """S(rho(M)_I) = |I| - log_d |M_I|, exactly, with |M_I| = |M| / |pi_Ibar(M)|."""
-    if not mask:
-        raise ValueError("empty particle subset")
-    rest = st.ps.full_mask ^ mask
-    order = st.M.order // phsp.project_phase(st.ps, st.M, rest).order if rest else st.M.order
-    return ExactEntropy(subset_size(mask), order, st.ps.d, QUANTUM)
+    """S(rho(M)_I) = |I| - log_d |M_I|, exactly: one entry of the quantum vector."""
+    return _entry(st, mask, QUANTUM)
 
 
 def classical_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
     """H(X_I) = log_d |pi_I(M_perp)| for the uniform phase-space model."""
-    if not mask:
-        raise ValueError("empty particle subset")
-    img = phsp.project_phase(st.ps, st.perp, mask)
-    return ExactEntropy(subset_size(mask), img.order, st.ps.d, CLASSICAL)
+    return _entry(st, mask, CLASSICAL)
 
 
 def order_identity_check(st: StabilizerState) -> bool:
     """S = H - |I| for every nonempty I, as the exact order identity
-    |pi_I(M_perp)| * |M_I| = d^{2|I|}."""
-    d = st.ps.d
-    for mask in range(1, 1 << st.ps.n):
-        s = quantum_entropy(st, mask)
-        h = classical_entropy(st, mask)
-        if h.subgroup_order * s.subgroup_order != d ** (2 * subset_size(mask)):
-            return False
-    return True
+    |pi_I(M_perp)| * |M_I| = d^{2|I|}; the two orders come from M and M_perp."""
+    s = entropy_vector(st, QUANTUM).entries
+    h = entropy_vector(st, CLASSICAL).entries
+    return all(h[mask].subgroup_order * e.subgroup_order == st.ps.d ** (2 * e.subset_size) for mask, e in s.items())
 
 
 def entropy_vector(st: StabilizerState, kind: str = QUANTUM) -> EntropyVector:
+    ps = st.ps
     if kind == QUANTUM:
-        fn = quantum_entropy
+        orders = phsp.subsystem_orders(ps, st.M)
     elif kind == CLASSICAL:
-        fn = classical_entropy
+        inside = phsp.subsystem_orders(ps, st.perp)
+        orders = {mask: st.perp.order // inside.get(ps.full_mask ^ mask, 1) for mask in inside}
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    entries = {mask: fn(st, mask) for mask in range(1, 1 << st.ps.n)}
-    return EntropyVector(st.ps.n, st.ps.d, kind, entries)
+    entries = {mask: ExactEntropy(subset_size(mask), orders[mask], ps.d, kind) for mask in range(1, 1 << ps.n)}
+    return EntropyVector(ps.n, ps.d, kind, entries)
 
 
 def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
@@ -181,11 +179,8 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
                 continue
             for tail in product(*(range(r[j]) for j, r in enumerate(rows, i + 1))):
                 row = (0,) * i + (p,) + tail
-                # isotropy: [row, g] = sum_k p_k q'_k - q_k p'_k == 0 mod d for each
-                # nontrivial row g below; HNF: (d/p)*row = d*e_i + (d/p)*tail lies in below
-                if not any(
-                    sum(row[k] * g[k + 1] - row[k + 1] * g[k] for k in range(0, m, 2)) % d for g in gens
-                ) and below.contains([(d // p) * x for x in row]):
+                # isotropy against each nontrivial row g below; HNF: (d/p)*row lies in below
+                if not any(phsp.form(row, g) % d for g in gens) and below.contains([(d // p) * x for x in row]):
                     yield from rows_from(i - 1, (row,) + rows)
 
     yield from rows_from(m - 1, ())

@@ -114,15 +114,6 @@ class Subgroup:
         hnf = _hermite_rows(gens, m, d)
         return cls(d, m, tuple(tuple(row) for row in hnf))
 
-    @classmethod
-    def zero(cls, d: int, m: int) -> "Subgroup":
-        return cls.from_generators([], d, m)
-
-    @classmethod
-    def full(cls, d: int, m: int) -> "Subgroup":
-        eye = [[int(i == j) for j in range(m)] for i in range(m)]
-        return cls.from_generators(eye, d, m)
-
     @property
     def order(self) -> int:
         return prod(self.d // self.basis[i][i] for i in range(self.m))
@@ -155,17 +146,6 @@ class Subgroup:
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
-
-    def project(self, coords: Sequence[int]) -> "Subgroup":
-        """Image under deleting all columns outside ``coords`` (0-based)."""
-        coords = list(coords)
-        if not coords:
-            raise ValueError("empty coordinate set")
-        for c in coords:
-            if not 0 <= c < self.m:
-                raise ValueError(f"coordinate {c} out of range")
-        gens = [[g[c] for c in coords] for g in self.generators()]
-        return Subgroup.from_generators(gens, self.d, len(coords))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All elements of the subgroup, in a deterministic order."""

@@ -239,6 +239,28 @@ def test_oracle_check_opens_out_before_the_work(outdir, monkeypatch, capsys):
     assert calls == []
 
 
+def test_verify_opens_out_before_the_work(outdir, monkeypatch, capsys):
+    from entrokit import inequalities
+
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
+    calls = []
+    monkeypatch.setattr(inequalities, "verify_batch", lambda *a: calls.append(a))
+    bad = str(outdir / "missing" / "x.json")
+    assert main(["verify", "--corpus", corpus, "--family", "ssa", "--out", bad]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+def test_verify_refuses_to_overwrite_its_input(outdir, capsys):
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    before = corpus.read_text()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa", "--out", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert corpus.read_text() == before
+
+
 def test_output_dir_env_respected(outdir, tmp_path_factory):
     other = tmp_path_factory.mktemp("elsewhere")
     os.environ["ENTROKIT_OUTPUT_DIR"] = str(other)

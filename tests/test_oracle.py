@@ -182,7 +182,7 @@ def test_cross_check_flags_the_wrong_state(monkeypatch, corpus):
     # a pure-state projector standing in for the maximally mixed state
     pure = oracle.projector(StabilizerState(ps, Subgroup.from_generators([[1, 0]], 3, 2)))
     monkeypatch.setattr(oracle, "projector", lambda _: pure)
-    errs = oracle.cross_check(StabilizerState(ps, Subgroup.zero(3, 2)))
+    errs = oracle.cross_check(StabilizerState(ps, Subgroup.from_generators([], 3, 2)))
     assert errs["projector"] > 1 and errs["entropy"] > 0.5 and errs["wigner"] > 0.1
 
 

@@ -1,14 +1,15 @@
 """Symplectic structure checked against brute force over small phase spaces."""
 
 from itertools import product
+from math import comb
 
 import pytest
 
 from entrokit.phasespace import (
     PhaseSpace,
+    chain_orders,
     is_isotropic,
     particles,
-    project_phase,
     subset_size,
     symplectic_complement,
     symplectic_form,
@@ -36,11 +37,13 @@ def test_phase_space_validation():
 def test_symplectic_form_values():
     ps = PhaseSpace(1, 3)
     # [ (p,q), (p',q') ] = p q' - q p'
-    val = symplectic_form(ps, [1, 0], [0, 1])
-    assert val.value == 1 and val.reduced_mod_d == 1
-    val = symplectic_form(ps, [0, 1], [1, 0])
-    assert val.reduced_mod_d == 2  # -1 mod 3
-    assert symplectic_form(ps, [1, 1], [1, 1]).value == 0
+    assert symplectic_form(ps, [1, 0], [0, 1]) == 1
+    assert symplectic_form(ps, [0, 1], [1, 0]) == 2  # -1 mod 3
+    assert symplectic_form(ps, [1, 1], [1, 1]) == 0
+    # entries are taken mod d: [(4, 0), (0, 2)] = 8 = 2 mod 3
+    assert symplectic_form(ps, [4, 0], [0, 2]) == 2
+    with pytest.raises(ValueError):
+        symplectic_form(ps, [1, 0, 0], [0, 1])
 
 
 def test_symplectic_form_antisymmetry_and_bilinearity():
@@ -49,13 +52,13 @@ def test_symplectic_form_antisymmetry_and_bilinearity():
     vs = [(1, 2, 3, 4), (0, 1, 0, 1), (4, 4, 1, 0)]
     for v in vs:
         for w in vs:
-            a = symplectic_form(ps, v, w).reduced_mod_d
-            b = symplectic_form(ps, w, v).reduced_mod_d
+            a = symplectic_form(ps, v, w)
+            b = symplectic_form(ps, w, v)
             assert (a + b) % d == 0
             for u in vs:
                 vu = [(x + y) % d for x, y in zip(v, u)]
-                lhs = symplectic_form(ps, vu, w).reduced_mod_d
-                rhs = (a + symplectic_form(ps, u, w).reduced_mod_d) % d
+                lhs = symplectic_form(ps, vu, w)
+                rhs = (a + symplectic_form(ps, u, w)) % d
                 assert lhs == rhs
 
 
@@ -64,7 +67,7 @@ def brute_complement(ps, M):
     return {
         v
         for v in product(range(ps.d), repeat=ps.m)
-        if all(symplectic_form(ps, v, m).reduced_mod_d == 0 for m in elems)
+        if all(symplectic_form(ps, v, m) == 0 for m in elems)
     }
 
 
@@ -80,24 +83,19 @@ def test_complement_matches_brute_force(d, n, corpus):
 def test_is_isotropic():
     ps = PhaseSpace(1, 3)
     assert is_isotropic(ps, Subgroup.from_generators([[1, 1]], 3, 2))
-    assert not is_isotropic(ps, Subgroup.full(3, 2))
+    assert not is_isotropic(ps, Subgroup.from_generators([[1, 0], [0, 1]], 3, 2))
     ps2 = PhaseSpace(2, 2)
     # two commuting two-particle generators
     assert is_isotropic(ps2, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 4))
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (3, 2)])
-def test_project_phase_matches_element_image(d, n, corpus):
-    ps = PhaseSpace(n, d)
-    for st in corpus(d, n):
-        perp = symplectic_complement(ps, st.M)
-        for mask in range(1, 1 << n):
-            inside = ps.coords(mask)
-            expect = {tuple(v[c] for c in inside) for v in perp.elements()}
-            assert set(project_phase(ps, perp, mask).elements()) == expect
-
-
-def test_project_phase_rejects_empty_subset():
-    ps = PhaseSpace(1, 2)
-    with pytest.raises(ValueError):
-        project_phase(ps, Subgroup.zero(2, 2), 0)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_orders_cover_every_subset(n):
+    orders = chain_orders(n)
+    assert len(orders) == comb(n, n // 2)
+    assert orders[0] == tuple(range(n))
+    covered = set()
+    for pi in orders:
+        assert sorted(pi) == list(range(n))
+        covered.update(sum(1 << x for x in pi[s:]) for s in range(n))
+    assert covered == set(range(1, 1 << n))

@@ -1,10 +1,11 @@
 """Exact entropy vectors and isotropic-subgroup enumeration."""
 
 import math
+import random
 
 import pytest
 
-from entrokit.phasespace import PhaseSpace
+from entrokit.phasespace import PhaseSpace, form
 from entrokit.stabilizer import (
     CLASSICAL,
     QUANTUM,
@@ -81,9 +82,9 @@ def test_enumeration_guard():
 def test_state_validation():
     ps = PhaseSpace(1, 3)
     with pytest.raises(ValueError):
-        StabilizerState(ps, Subgroup.full(3, 2))  # not isotropic
+        StabilizerState(ps, Subgroup.from_generators([[1, 0], [0, 1]], 3, 2))  # not isotropic
     with pytest.raises(ValueError):
-        StabilizerState(ps, Subgroup.zero(3, 4))  # wrong ambient group
+        StabilizerState(ps, Subgroup.from_generators([], 3, 4))  # wrong ambient group
 
 
 def test_epr_pair_entropies():
@@ -134,6 +135,63 @@ def test_quantum_order_matches_brute_force(d, n, corpus):
             assert quantum_entropy(st, mask).subgroup_order == count
 
 
+def classical_images(st):
+    """mask -> |{pi_I(v) : v in M_perp}|, counted over M_perp's elements."""
+    perp = list(st.perp.elements())
+    return {mask: len({tuple(v[c] for c in st.ps.coords(mask)) for v in perp}) for mask in range(1, 1 << st.ps.n)}
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 2), (6, 1)])
+def test_classical_order_matches_brute_force(d, n, corpus):
+    # |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| against the image of M_perp's elements
+    for st in corpus(d, n):
+        vec = entropy_vector(st, CLASSICAL)
+        assert {mask: e.subgroup_order for mask, e in vec.entries.items()} == classical_images(st)
+
+
+def random_isotropic(rng, d, n, k):
+    """A subgroup spanned by k random pairwise-orthogonal vectors, found by rejection."""
+    gens = []
+    while len(gens) < k:
+        v = [rng.randrange(d) for _ in range(2 * n)]
+        if not any(form(v, g) % d for g in gens):
+            gens.append(v)
+    return StabilizerState(PhaseSpace(n, d), Subgroup.from_generators(gens, d, 2 * n))
+
+
+# (d, n, ranks): composite d gives subgroups that are not free; ranks keep |M_perp| small
+SEEDED = [(2, 4, range(5)), (4, 4, (2, 3, 4)), (6, 4, (3, 4)), (2, 5, range(6)), (3, 5, (3, 4, 5)), (6, 5, (5,))]
+
+
+@pytest.mark.parametrize("d,n,ranks", SEEDED, ids=[f"{d}-{n}" for d, n, _ in SEEDED])
+def test_seeded_vectors_match_brute_force(d, n, ranks):
+    rng = random.Random(f"chain-{d}-{n}")
+    ps = PhaseSpace(n, d)
+    for k in ranks:
+        for _ in range(2):
+            st = random_isotropic(rng, d, n, k)
+            vq, vc = entropy_vector(st, QUANTUM), entropy_vector(st, CLASSICAL)
+            elems = list(st.M.elements())
+            images = classical_images(st)
+            for mask in range(1, 1 << n):
+                outside = [c for c in range(ps.m) if c not in ps.coords(mask)]
+                assert vq.entries[mask].subgroup_order == sum(all(v[c] == 0 for c in outside) for v in elems)
+                assert vc.entries[mask].subgroup_order == images[mask]
+
+
+@pytest.mark.parametrize("n,calls", [(4, 5), (5, 9)])
+def test_quantum_vector_hnf_calls(monkeypatch, n, calls):
+    # C(n, floor(n/2)) chain orders, the identity's HNF being M.basis itself
+    import entrokit.zmod as zmod
+
+    st = random_isotropic(random.Random(n), 2, n, n)
+    seen = []
+    hermite = zmod._hermite_rows
+    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: seen.append(a) or hermite(*a))
+    entropy_vector(st, QUANTUM)
+    assert len(seen) == calls
+
+
 def test_entropy_vector_structure():
     ps = PhaseSpace(2, 3)
     st = StabilizerState(ps, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, -1]], 3, 4))
@@ -150,7 +208,7 @@ def test_entropy_vector_structure():
 
 def test_entropy_rejects_empty_subset():
     ps = PhaseSpace(1, 2)
-    st = StabilizerState(ps, Subgroup.zero(2, 2))
+    st = StabilizerState(ps, Subgroup.from_generators([], 2, 2))
     with pytest.raises(ValueError):
         quantum_entropy(st, 0)
     with pytest.raises(ValueError):
