@@ -20,21 +20,19 @@ from .stabilizer import (
     quantum_entropy,
     order_identity_check,
 )
-from .zmod import ModMatrix, Subgroup, kernel_mod
+from .zmod import Subgroup
 
 __all__ = [
     "CLASSICAL",
     "QUANTUM",
     "EntropyVector",
     "ExactEntropy",
-    "ModMatrix",
     "PhaseSpace",
     "StabilizerState",
     "Subgroup",
     "classical_entropy",
     "entropy_vector",
     "enumerate_isotropic",
-    "kernel_mod",
     "quantum_entropy",
     "symplectic_form",
     "order_identity_check",

@@ -64,21 +64,6 @@ class GaussianState:
             idx.extend((2 * i, 2 * i + 1))
         return self.sigma[np.ix_(idx, idx)]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "sigma_vac": self.sigma_vac,
-                "mu": self.mu.tolist(),
-                "Sigma": self.sigma.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        obj = json.loads(text)
-        return cls(obj["n"], np.array(obj["mu"]), np.array(obj["Sigma"]), obj.get("sigma_vac", 0.5))
-
 
 def physicality_margin(g: GaussianState) -> float:
     """Minimum eigenvalue of Sigma + i * sigma_vac * Omega."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .zmod import ModMatrix, Subgroup, kernel_mod
+from .zmod import Subgroup
 
 
 def particles(mask: int) -> list[int]:
@@ -82,16 +82,24 @@ def is_isotropic(ps: PhaseSpace, M: Subgroup) -> bool:
 
 
 def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
-    """M_perp = {v : [v, m] == 0 mod d for all m in M}."""
-    d = ps.d
-    rows = []
-    for g in M.generators():
-        # [v, g] = sum_i v_p * g_q - v_q * g_p, as a linear functional in v
-        row = []
-        for i in range(ps.n):
-            row.extend((g[2 * i + 1], -g[2 * i] % d))
-        rows.append(row)
-    return kernel_mod(ModMatrix.make(rows, d, ps.m))
+    """M_perp = {v : [v, m] == 0 mod d for all m in M}, by duality from M's HNF basis.
+
+    ``M.basis`` is an upper-triangular B spanning M + d*Z^{2n}, so X = d * B^-1 is
+    an integer upper-triangular matrix: back-substitution in X B = d I divides
+    exactly.  The columns of X span the annihilator {a : a . m == 0 mod d on M},
+    and [v, m] = a . m for a = (-q_1, p_1, ...), so each column with its pairs
+    (a_p, a_q) mapped to (a_q, -a_p) is a generator of M_perp.
+    """
+    if M.m != ps.m or M.d != ps.d:
+        raise ValueError("subgroup does not live in the given phase space")
+    d, m, B = ps.d, ps.m, M.basis
+    X = [[0] * m for _ in range(m)]
+    for i in range(m):
+        X[i][i] = d // B[i][i]
+        for j in range(i + 1, m):
+            X[i][j] = -sum(X[i][k] * B[k][j] for k in range(i, j)) // B[j][j]
+    gens = [[X[k + 1][j] if k % 2 == 0 else -X[k - 1][j] for k in range(m)] for j in range(m)]
+    return Subgroup.from_generators(gens, d, m)
 
 
 @lru_cache(maxsize=None)

@@ -59,9 +59,6 @@ class EntropyVector:
         if set(self.entries) != expected:
             raise ValueError("entropy vector must have one entry per nonempty subset")
 
-    def value(self, mask: int) -> float:
-        return self.entries[mask].value
-
     def rows(self) -> list[tuple[int, int, int, float]]:
         """(mask, size, order, entropy_log_d) rows, ascending by mask."""
         out = []

@@ -73,25 +73,6 @@ def _hermite_rows(rows: Sequence[Sequence[int]], ncols: int, d: int) -> list[lis
 
 
 @dataclass(frozen=True)
-class ModMatrix:
-    """A rows x cols integer matrix with entries reduced modulo ``d``."""
-
-    rows: tuple[tuple[int, ...], ...]
-    d: int
-    ncols: int
-
-    @classmethod
-    def make(cls, rows: Iterable[Sequence[int]], d: int, ncols: int) -> "ModMatrix":
-        if d < 2:
-            raise ValueError(f"modulus must be >= 2, got {d}")
-        reduced = tuple(tuple(x % d for x in row) for row in rows)
-        for row in reduced:
-            if len(row) != ncols:
-                raise ValueError(f"row of length {len(row)}, expected {ncols}")
-        return cls(reduced, d, ncols)
-
-
-@dataclass(frozen=True)
 class Subgroup:
     """A subgroup of Z_d^m, stored as the canonical HNF basis of its lift.
 
@@ -160,19 +141,3 @@ class Subgroup:
                         v[j] = (v[j] + c * row[j]) % d
             yield tuple(v)
 
-
-def kernel_mod(A: ModMatrix) -> Subgroup:
-    """The subgroup {v in Z_d^m : A v == 0 (mod d)} for an r x m matrix A."""
-    d, m = A.d, A.ncols
-    r = len(A.rows)
-    # Rows (A^T_i, e_i) and (d e_j, 0) span a lattice in Z^{r+m}; members with
-    # vanishing first block are (0, v) with A v == 0 mod d.
-    rows = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        rows.append([A.rows[j][i] for j in range(r)] + e)
-    # HNF rows whose first r entries vanish mod d are a basis of that part
-    hnf = _hermite_rows(rows, r + m, d)
-    gens = [row[r:] for row in hnf if not any(x % d for x in row[:r])]
-    return Subgroup.from_generators(gens, d, m)

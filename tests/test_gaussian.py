@@ -13,9 +13,9 @@ from entrokit.inequalities import ingleton, instances, evaluate_float
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "ingleton_violation.json")
 
 
-def random_physical(rng, n, sigma_vac=0.5):
+def random_physical(rng, n):
     a = rng.standard_normal((2 * n, 2 * n + 2))
-    return gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n), sigma_vac)
+    return gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n))
 
 
 def test_state_validation():
@@ -128,14 +128,6 @@ def test_mc_input_validation():
         gsn.mc_renyi2(g, 1, 100, seed=0)
     with pytest.raises(ValueError):
         gsn.mc_renyi2(g, 0, 10**4, seed=0)
-
-
-def test_state_json_roundtrip():
-    rng = np.random.default_rng(9)
-    g = random_physical(rng, 2, sigma_vac=1.0)
-    g2 = gsn.GaussianState.from_json(g.to_json())
-    assert g2.n == g.n and g2.sigma_vac == 1.0
-    assert np.abs(g2.sigma - g.sigma).max() < 1e-15
 
 
 def test_ingleton_value_matches_inequality_module():

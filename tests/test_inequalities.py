@@ -162,7 +162,7 @@ def test_exact_sign_matches_float_sign(d, n, corpus):
             vec = entropy_vector(st, kind)
             for q in qs:
                 ok, lhs, rhs = ineq.evaluate_exact(q, vec)
-                slack = ineq.evaluate_float(q, vec.value)
+                slack = ineq.evaluate_float(q, lambda mask: vec.entries[mask].value)
                 if abs(slack) > 1e-9:
                     assert ok == (slack > 0)
                 else:
@@ -213,7 +213,7 @@ def test_min_slack_matches_float_reference(d, n, kind, corpus):
     qs = ineq.instances("ssa", n) + ineq.instances("monotonicity", n)
     qs += [ineq.Inequality(n, {mask: 1}) for mask in range(1, 1 << n)]
     vectors = [entropy_vector(st, kind) for st in corpus(d, n)]
-    floats = [min(ineq.evaluate_float(q, vec.value) for q in qs) for vec in vectors]
+    floats = [min(ineq.evaluate_float(q, lambda mask: vec.entries[mask].value) for q in qs) for vec in vectors]
     for vec, reference in zip(vectors, floats):
         assert abs(ineq.verify_batch(qs, [vec]).min_slack - reference) <= 1e-12
     assert abs(ineq.verify_batch(qs, vectors).min_slack - min(floats)) <= 1e-12

@@ -1,5 +1,6 @@
 """Symplectic structure checked against brute force over small phase spaces."""
 
+import random
 from itertools import product
 from math import comb
 
@@ -78,6 +79,61 @@ def test_complement_matches_brute_force(d, n, corpus):
         perp = symplectic_complement(ps, st.M)
         assert set(perp.elements()) == brute_complement(ps, st.M)
         assert st.M.order * perp.order == d ** (2 * n)
+
+
+def random_subgroups(d, n, count):
+    """Seeded subgroups of Z_d^{2n}, isotropic or not: up to 2n + 1 random
+    generators, each scaled by a random divisor of d, so that some are not free
+    at composite d."""
+    rng = random.Random(f"perp-{d}-{n}")
+    divisors = [c for c in range(1, d + 1) if d % c == 0]
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(0, 2 * n + 1)):
+            c = rng.choice(divisors)
+            gens.append([c * rng.randrange(d) for _ in range(2 * n)])
+        out.append(Subgroup.from_generators(gens, d, 2 * n))
+    if d in (4, 6):
+        # a pivot strictly between 1 and d: the subgroup is not a free Z_d-module
+        assert any(1 < M.basis[i][i] < d for M in out for i in range(2 * n))
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (4, 2)])
+def test_complement_of_random_subgroup_matches_brute_force(d, n):
+    ps = PhaseSpace(n, d)
+    for M in random_subgroups(d, n, 12):
+        perp = symplectic_complement(ps, M)
+        assert set(perp.elements()) == brute_complement(ps, M)
+        assert M.order * perp.order == d ** (2 * n)
+
+
+@pytest.mark.parametrize("d,n", [(4, 3), (6, 3), (9, 2), (12, 2), (2, 5)])
+def test_complement_is_an_involution(d, n):
+    ps = PhaseSpace(n, d)
+    for M in random_subgroups(d, n, 40):
+        perp = symplectic_complement(ps, M)
+        assert symplectic_complement(ps, perp) == M
+        assert M.order * perp.order == d ** (2 * n)
+
+
+def test_complement_makes_one_hnf_call(monkeypatch):
+    import entrokit.zmod as zmod
+
+    M = Subgroup.from_generators([[2, 0, 2, 0], [0, 3, 0, 1]], 6, 4)
+    seen = []
+    hermite = zmod._hermite_rows
+    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: seen.append(a) or hermite(*a))
+    symplectic_complement(PhaseSpace(2, 6), M)
+    assert len(seen) == 1
+
+
+def test_complement_rejects_a_foreign_subgroup():
+    M = Subgroup.from_generators([[1, 1]], 3, 2)
+    for ps in (PhaseSpace(2, 3), PhaseSpace(1, 2)):
+        with pytest.raises(ValueError):
+            symplectic_complement(ps, M)
 
 
 def test_is_isotropic():

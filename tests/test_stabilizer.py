@@ -201,7 +201,7 @@ def test_entropy_vector_structure():
     assert [row[0] for row in vq.rows()] == [1, 2, 3]
     for mask in (1, 2, 3):
         k = bin(mask).count("1")
-        assert vc.value(mask) == pytest.approx(vq.value(mask) + k, abs=1e-12)
+        assert vc.entries[mask].value == pytest.approx(vq.entries[mask].value + k, abs=1e-12)
     with pytest.raises(ValueError):
         entropy_vector(st, "bogus")
 
