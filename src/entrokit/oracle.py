@@ -1,29 +1,38 @@
 """Dense Hilbert-space ground truth at desk scale.
 
 Everything here exists to independently verify the phase-space formulas:
-Weyl operators, stabilizer projectors (odd- and even-d constructions),
-partial traces, spectral entropies and the discrete Wigner function.
+Weyl operators, stabilizer projectors, partial traces, spectral entropies
+and the discrete Wigner function.
 
 Phase conventions: ``weyl`` implements the textbook formula
 (w(p,q) psi)(x) = e^{i pi (2px - pq)/d} psi(x - q) on canonical lifts
 p, q in [0, d).  That formula satisfies the composition law but is not
-periodic mod d in (p, q) for odd d, so the group-sum projector and the
-Wigner transform use the standard mod-d-periodic variant with the phase
+periodic mod d in (p, q) for odd d, so for odd d the projector and the
+Wigner function use the standard mod-d-periodic variant with the phase
 exponent multiplied by 2^{-1} = (d+1)/2 mod d.  The two differ only by a
 sign (-1)^{pq} per particle.
+
+The projector has one construction for every d: ``weyl`` for even d,
+``_weyl_periodic`` for odd d.  In either convention w(g)^d = I, so the
+eigenvalues of w(g) are omega^j = e^{2 pi i j/d}.  P is cut down to one
+eigenspace of w(g) per canonical generator g of M, the one with the smallest
+j present on the current range.  The w(g) commute, so the result is a joint
+eigenspace, of dimension d^n / |M|.  For odd d the periodic operators
+represent M, so j = 0 is always present and P is the group sum
+(1/|M|) sum_{m in M} w(m).  For even d the +1 eigenspaces of the generators
+can be disjoint (in Z_6^2, 3(2,1) = (0,3) but w(2,1)^3 = -w(0,3)), which is
+why the eigenvalue is chosen rather than fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from math import log
 from typing import Sequence
 
 import numpy as np
 
-from .phasespace import PhaseSpace, particles, subset_size
+from .phasespace import PhaseSpace, particles
 from .stabilizer import QUANTUM, StabilizerState, entropy_vector
 
 DENSE_GUARD = 4096
@@ -60,55 +69,37 @@ def _weyl_periodic(d: int, p: int, q: int) -> np.ndarray:
     return w
 
 
-def weyl_n(ps: PhaseSpace, v: Sequence[int]) -> np.ndarray:
-    """Tensor product of single-particle Weyl operators, particle 1 first."""
+def weyl_n(ps: PhaseSpace, v: Sequence[int], factor=weyl) -> np.ndarray:
+    """Tensor product of single-particle ``factor(d, p, q)``, particle 1 first."""
     _check_guard(ps)
     if len(v) != ps.m:
         raise ValueError(f"vector must have length {ps.m}")
-    d = ps.d
-    factors = [weyl(d, v[2 * i], v[2 * i + 1]) for i in range(ps.n)]
-    return reduce(np.kron, factors)
-
-
-def _weyl_periodic_n(ps: PhaseSpace, v: Sequence[int]) -> np.ndarray:
-    d = ps.d
-    factors = [_weyl_periodic(d, v[2 * i] % d, v[2 * i + 1] % d) for i in range(ps.n)]
-    return reduce(np.kron, factors)
+    return reduce(np.kron, [factor(ps.d, v[2 * i], v[2 * i + 1]) for i in range(ps.n)])
 
 
 def projector(st: StabilizerState) -> np.ndarray:
     """The stabilizer code projector P with tr P = d^n / |M|.
 
-    Odd d: group sum over all elements of M (periodic convention).
-    Even d: ordered product sum over basis powers, normalized by d^k where
-    k is the number of canonical generators (equal to |M| for free M).
+    Starting from P = I, for each canonical generator g of M with U = w(g):
+    m_j = d^{-1} sum_{x<d} omega^{-jx} tr(P U^x) is the multiplicity of the
+    eigenvalue omega^j on the range of P; for the smallest j with m_j > 1/2,
+    P <- P d^{-1} sum_{x<d} omega^{-jx} U^x.
     """
     ps = st.ps
     _check_guard(ps)
     d = ps.d
-    dim = d**ps.n
-    if d % 2:
-        acc = np.zeros((dim, dim), dtype=complex)
-        for m in st.M.elements():
-            acc += _weyl_periodic_n(ps, m)
-        return acc / st.M.order
-    gens = st.M.generators()
-    k = len(gens)
-    ops = [weyl_n(ps, g) for g in gens]
-    powers = []
-    for op in ops:
-        pw = [np.eye(dim, dtype=complex)]
+    P = np.eye(d**ps.n, dtype=complex)
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    for g in st.M.generators():
+        U = weyl_n(ps, g, _weyl_periodic if d % 2 else weyl)
+        powers = [np.eye(len(U), dtype=complex)]
         for _ in range(d - 1):
-            pw.append(pw[-1] @ op)
-        powers.append(pw)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for xs in product(range(d), repeat=k):
-        term = np.eye(dim, dtype=complex)
-        for i, xi in enumerate(xs):
-            if xi:
-                term = term @ powers[i][xi]
-        acc += term
-    return acc / d**k
+            powers.append(powers[-1] @ U)
+        powers = np.array(powers)
+        mult = (phases @ np.einsum("ij,xji->x", P, powers)).real / d
+        j = int(np.argmax(mult > 0.5))
+        P = P @ np.tensordot(phases[j], powers, axes=1) / d
+    return P
 
 
 def dense_state(st: StabilizerState) -> np.ndarray:
@@ -134,8 +125,8 @@ def reduced_state(rho: np.ndarray, ps: PhaseSpace, mask: int) -> np.ndarray:
     return tensor.reshape(ps.d**k, ps.d**k)
 
 
-def spectral_entropy(rho: np.ndarray, alpha, base_d: int) -> float:
-    """Von Neumann (alpha='vonNeumann') or Renyi-alpha entropy, units log d.
+def spectrum(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a density matrix, clipped at 0 and zeroed below 1e-12.
 
     Requires rho Hermitian PSD with unit trace (within 1e-8).
     """
@@ -150,6 +141,14 @@ def spectral_entropy(rho: np.ndarray, alpha, base_d: int) -> float:
     # eigenvalues at numerical zero would otherwise leak into small-alpha
     # Renyi entropies (eps^alpha noise); they are zero within tolerance
     evals[evals < 1e-12] = 0.0
+    return evals
+
+
+def spectral_entropy(evals: np.ndarray, alpha, base_d: int) -> float:
+    """Von Neumann (alpha='vonNeumann') or Renyi-alpha entropy, units log d.
+
+    ``evals`` is a ``spectrum``.
+    """
     logd = log(base_d)
     if alpha == "vonNeumann":
         nz = evals[evals > 0]
@@ -160,53 +159,40 @@ def spectral_entropy(rho: np.ndarray, alpha, base_d: int) -> float:
     return float(np.log((evals**alpha).sum()) / ((1 - alpha) * logd))
 
 
-@dataclass(frozen=True)
-class WignerTable:
-    """Discrete Wigner values on all d^{2n} phase-space points.
+def wigner(rho: np.ndarray, ps: PhaseSpace) -> np.ndarray:
+    """W(a) = d^{-2n} sum_b omega^{-tau[a,b]} tr(w(b)^dag rho), odd d only.
 
-    ``values`` has shape (d,) * 2n with axes in coordinate order
+    tau = 2^{-1} mod d and w is the periodic convention.  The sum over each
+    b_p is a Kronecker delta, which leaves one DFT per particle,
+    W(p, q) = d^{-1} sum_t omega^{-pt} rho[tau q + t, tau q - t].
+    The result has shape (d,) * 2n, axes in coordinate order
     (p_1, q_1, ..., p_n, q_n).
     """
-
-    ps: PhaseSpace
-    values: np.ndarray
-
-    def at(self, v: Sequence[int]) -> float:
-        return float(self.values[tuple(x % self.ps.d for x in v)])
-
-
-def wigner(rho: np.ndarray, ps: PhaseSpace) -> WignerTable:
-    """W(a) = d^{-2n} sum_b omega^{-2^{-1}[a,b]} tr(w(b)^dag rho), odd d only."""
     if ps.d % 2 == 0:
         raise ValueError("the discrete Wigner function is only defined for odd d")
     _check_guard(ps)
     d, n = ps.d, ps.n
-    tau = (d + 1) // 2
-    points = list(product(range(d), repeat=ps.m))
-    # characteristic function on all points
-    chi = {b: np.trace(_weyl_periodic_n(ps, b).conj().T @ rho) for b in points}
-    omega = np.exp(2j * np.pi / d)
-    values = np.zeros((d,) * ps.m)
-    for a in points:
-        total = 0j
-        for b in points:
-            form = sum(
-                a[2 * i] * b[2 * i + 1] - a[2 * i + 1] * b[2 * i] for i in range(n)
-            )
-            total += omega ** (-tau * form % d) * chi[b]
-        values[a] = (total / d ** (2 * n)).real
-    return WignerTable(ps, values)
+    t = np.arange(d)[:, None]
+    c = (d + 1) // 2 * np.arange(d)[None, :]
+    rows, cols = [], []
+    for i in range(n):
+        shape = [1] * (2 * n)
+        shape[2 * i] = shape[2 * i + 1] = d
+        rows.append(((c + t) % d).reshape(shape))
+        cols.append(((c - t) % d).reshape(shape))
+    # R[t_1, q_1, ..., t_n, q_n] = rho[tau q + t, tau q - t] per particle
+    R = rho.reshape((d,) * (2 * n))[tuple(rows + cols)]
+    return (np.fft.fftn(R, axes=range(0, 2 * n, 2)) / d**n).real
 
 
-def wigner_marginal(W: WignerTable, ps: PhaseSpace, mask: int) -> WignerTable:
+def wigner_marginal(W: np.ndarray, ps: PhaseSpace, mask: int) -> np.ndarray:
     """Sum W over the phase-space coordinates outside the particles in I."""
     if not mask:
         raise ValueError("empty particle subset")
+    if W.shape != (ps.d,) * ps.m:
+        raise ValueError(f"expected a Wigner table of shape {(ps.d,) * ps.m}, got {W.shape}")
     keep = ps.coords(mask)
-    drop = tuple(c for c in range(ps.m) if c not in keep)
-    values = W.values.sum(axis=drop) if drop else W.values
-    sub = PhaseSpace(subset_size(mask), ps.d)
-    return WignerTable(sub, values)
+    return W.sum(axis=tuple(c for c in range(ps.m) if c not in keep))
 
 
 def cross_check(st: StabilizerState) -> dict[str, float]:
@@ -214,7 +200,7 @@ def cross_check(st: StabilizerState) -> dict[str, float]:
 
     ``projector``: idempotence, Hermiticity and tr P = d^n / |M|.
     ``entropy``: von Neumann and Renyi-1/2, 2, 3 entropies of every reduced
-    state against |I| - log_d |M_I|.
+    state, from one spectrum each, against |I| - log_d |M_I|.
     ``wigner``: W against the uniform distribution on M_perp (odd d only;
     0.0 for even d).
     """
@@ -231,16 +217,15 @@ def cross_check(st: StabilizerState) -> dict[str, float]:
     rho = P / np.trace(P).real
     entropy_errs = []
     for mask, e in entropy_vector(st, QUANTUM).entries.items():
-        red = reduced_state(rho, ps, mask)
-        exact = e.value
+        evals = spectrum(reduced_state(rho, ps, mask))
         for alpha in ("vonNeumann", 0.5, 2, 3):
-            entropy_errs.append(abs(spectral_entropy(red, alpha, d) - exact))
+            entropy_errs.append(abs(spectral_entropy(evals, alpha, d) - e.value))
     wigner_err = 0.0
     if d % 2:
         expect = np.zeros((d,) * ps.m)
         for v in st.perp.elements():
             expect[v] = 1 / st.perp.order
-        wigner_err = np.abs(wigner(rho, ps).values - expect).max()
+        wigner_err = np.abs(wigner(rho, ps) - expect).max()
     # np.max, unlike the builtin max, propagates a NaN error
     return {
         "projector": float(projector_err),

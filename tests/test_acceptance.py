@@ -73,8 +73,8 @@ def test_criterion_4_wigner_leg(corpus, cross_checks):
             W = oracle.wigner(rho, ps)
             for mask in range(1, (1 << n) - 1):
                 sub = PhaseSpace(len(particles(mask)), d)
-                left = oracle.wigner_marginal(W, ps, mask).values
-                right = oracle.wigner(oracle.reduced_state(rho, ps, mask), sub).values
+                left = oracle.wigner_marginal(W, ps, mask)
+                right = oracle.wigner(oracle.reduced_state(rho, ps, mask), sub)
                 worst = max(worst, float(np.abs(left - right).max()))
     verdict(4, f"Wigner uniform + marginals (max err {worst:.2e})", worst < 1e-10)
 

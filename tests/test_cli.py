@@ -165,6 +165,10 @@ def test_oracle_check(outdir):
     assert main(["oracle-check", "--d", "2", "--n", "1"]) == 0
     report = read_lines(outdir / "oracle_check_d2_n1.json")[0]
     assert report["passed"] and report["states"] == 4
+    # d = 6 holds a state whose generators' +1 eigenspaces are disjoint
+    assert main(["oracle-check", "--d", "6", "--n", "1"]) == 0
+    report = read_lines(outdir / "oracle_check_d6_n1.json")[0]
+    assert report["passed"] and report["states"] == 20
     assert main(["oracle-check", "--d", "5", "--n", "6"]) == 2  # dense guard
 
 

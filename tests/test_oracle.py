@@ -46,13 +46,33 @@ def test_weyl_mod_2d_periodicity():
         assert np.allclose(oracle.weyl(d, 1, 1), oracle.weyl(d, 1 + 2 * d, 1 + 2 * d))
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (4, 1), (5, 1)])
+# (6,1), (10,1) and (12,1) hold states whose generators' +1 eigenspaces are
+# disjoint, e.g. <(2,1), (0,3)> in Z_6^2; (9,1) holds non-free subgroups at odd d
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (3, 1), (2, 2), (4, 1), (5, 1), (6, 1), (9, 1), (10, 1), (12, 1)]
+)
 def test_projector_laws(d, n, corpus):
+    ps = PhaseSpace(n, d)
+    factor = oracle._weyl_periodic if d % 2 else oracle.weyl
     for st in corpus(d, n):
         P = oracle.projector(st)
         assert np.abs(P @ P - P).max() < oracle.ATOL_STRUCT
         assert np.abs(P - P.conj().T).max() < oracle.ATOL_STRUCT
         assert abs(np.trace(P).real - d**n / st.M.order) < oracle.ATOL_STRUCT
+        # P is a joint eigenspace of the generators, not just a projector of the right trace
+        for g in st.M.generators():
+            U = oracle.weyl_n(ps, g, factor)
+            lam = np.trace(U @ P) / np.trace(P)
+            assert abs(abs(lam) - 1) < oracle.ATOL_STRUCT
+            assert np.abs(U @ P - lam * P).max() < oracle.ATOL_STRUCT
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (9, 1), (3, 2)])
+def test_projector_matches_odd_d_group_sum(d, n, corpus):
+    ps = PhaseSpace(n, d)
+    for st in corpus(d, n):
+        expect = sum(oracle.weyl_n(ps, m, oracle._weyl_periodic) for m in st.M.elements()) / st.M.order
+        assert np.abs(oracle.projector(st) - expect).max() < 1e-12
 
 
 def test_dense_state_has_unit_trace():
@@ -84,28 +104,29 @@ def test_reduced_state_against_index_contraction():
 
 
 def test_spectral_entropy_on_known_spectra():
-    rho = np.diag([0.5, 0.5, 0.0, 0.0])
-    assert oracle.spectral_entropy(rho, "vonNeumann", 2) == pytest.approx(1.0)
-    assert oracle.spectral_entropy(rho, 2, 2) == pytest.approx(1.0)
-    assert oracle.spectral_entropy(rho, 0.5, 2) == pytest.approx(1.0)
-    rho2 = np.diag([0.5, 0.25, 0.25])
+    evals = oracle.spectrum(np.diag([0.5, 0.5, 0.0, 0.0]))
+    assert oracle.spectral_entropy(evals, "vonNeumann", 2) == pytest.approx(1.0)
+    assert oracle.spectral_entropy(evals, 2, 2) == pytest.approx(1.0)
+    assert oracle.spectral_entropy(evals, 0.5, 2) == pytest.approx(1.0)
+    evals2 = oracle.spectrum(np.diag([0.5, 0.25, 0.25]))
     expect = -(0.5 * math.log(0.5) + 0.5 * math.log(0.25)) / math.log(3)
-    assert oracle.spectral_entropy(rho2, "vonNeumann", 3) == pytest.approx(expect)
+    assert oracle.spectral_entropy(evals2, "vonNeumann", 3) == pytest.approx(expect)
     r2 = -math.log(0.25 + 2 * 0.0625) / math.log(3)
-    assert oracle.spectral_entropy(rho2, 2, 3) == pytest.approx(r2)
+    assert oracle.spectral_entropy(evals2, 2, 3) == pytest.approx(r2)
 
 
 def test_spectral_entropy_validation():
     with pytest.raises(ValueError):
-        oracle.spectral_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]), 2, 2)  # not Hermitian
+        oracle.spectrum(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
-        oracle.spectral_entropy(np.eye(2), 2, 2)  # trace 2
+        oracle.spectrum(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
-        oracle.spectral_entropy(np.diag([1.5, -0.5]), 2, 2)  # not PSD
+        oracle.spectrum(np.diag([1.5, -0.5]))  # not PSD
+    evals = oracle.spectrum(np.diag([0.5, 0.5]))
     with pytest.raises(ValueError):
-        oracle.spectral_entropy(np.diag([0.5, 0.5]), 1.0, 2)  # alpha = 1
+        oracle.spectral_entropy(evals, 1.0, 2)  # alpha = 1
     with pytest.raises(ValueError):
-        oracle.spectral_entropy(np.diag([0.5, 0.5]), -2, 2)
+        oracle.spectral_entropy(evals, -2, 2)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (4, 1)])
@@ -118,8 +139,9 @@ def test_dense_entropies_match_subgroup_formula(d, n, corpus):
             exact = len(particles(mask)) - math.log(
                 quantum_entropy(st, mask).subgroup_order
             ) / math.log(d)
+            evals = oracle.spectrum(red)
             for alpha in ("vonNeumann", 0.5, 2, 3):
-                assert abs(oracle.spectral_entropy(red, alpha, d) - exact) < oracle.ATOL_EIG
+                assert abs(oracle.spectral_entropy(evals, alpha, d) - exact) < oracle.ATOL_EIG
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1)])
@@ -130,8 +152,37 @@ def test_wigner_uniform_on_complement(d, n, corpus):
         perp = st.perp
         for v in product(range(d), repeat=2 * n):
             expect = 1 / perp.order if perp.contains(list(v)) else 0.0
-            assert abs(W.at(v) - expect) < 1e-10
-        assert abs(W.values.sum() - 1.0) < 1e-10
+            assert abs(W[v] - expect) < 1e-10
+        assert abs(W.sum() - 1.0) < 1e-10
+
+
+def wigner_reference(rho, ps):
+    """The defining double sum W(a) = d^{-2n} sum_b omega^{-tau[a,b]} tr(w(b)^dag rho)."""
+    d, n = ps.d, ps.n
+    tau = (d + 1) // 2
+    points = list(product(range(d), repeat=ps.m))
+    chi = {b: np.trace(oracle.weyl_n(ps, b, oracle._weyl_periodic).conj().T @ rho) for b in points}
+    omega = np.exp(2j * np.pi / d)
+    values = np.zeros((d,) * ps.m)
+    for a in points:
+        total = 0j
+        for b in points:
+            form = sum(a[2 * i] * b[2 * i + 1] - a[2 * i + 1] * b[2 * i] for i in range(n))
+            total += omega ** (-tau * form % d) * chi[b]
+        values[a] = (total / d ** (2 * n)).real
+    return values
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (7, 1), (9, 1), (3, 2)])
+def test_wigner_matches_defining_sum(d, n):
+    # full-rank random states, so the test does not rest on stabilizer structure
+    rng = np.random.default_rng(100 * d + n)
+    ps = PhaseSpace(n, d)
+    for _ in range(3):
+        a = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        assert np.abs(oracle.wigner(rho, ps) - wigner_reference(rho, ps)).max() < 1e-12
 
 
 def test_wigner_marginal_commutes_with_partial_trace(corpus):
@@ -142,9 +193,11 @@ def test_wigner_marginal_commutes_with_partial_trace(corpus):
         rho = oracle.dense_state(st)
         W = oracle.wigner(rho, ps)
         for mask in (1, 2):
-            left = oracle.wigner_marginal(W, ps, mask).values
-            right = oracle.wigner(oracle.reduced_state(rho, ps, mask), sub).values
+            left = oracle.wigner_marginal(W, ps, mask)
+            right = oracle.wigner(oracle.reduced_state(rho, ps, mask), sub)
             assert np.abs(left - right).max() < 1e-10
+    with pytest.raises(ValueError):
+        oracle.wigner_marginal(W, sub, 1)  # a two-particle table read as one particle
 
 
 def test_wigner_rejects_even_d():
@@ -186,14 +239,20 @@ def test_cross_check_flags_the_wrong_state(monkeypatch, corpus):
     assert errs["projector"] > 1 and errs["entropy"] > 0.5 and errs["wigner"] > 0.1
 
 
+def test_cross_check_diagonalises_each_reduced_state_once(monkeypatch, corpus):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
+    for d, n in ((3, 2), (2, 3)):
+        states = corpus(d, n)[::50]
+        for st in states:
+            oracle.cross_check(st)
+        assert len(calls) == len(states) * (2**n - 1)
+        calls.clear()
+
+
 def test_dense_guard():
     ps = PhaseSpace(7, 4)  # 4^7 > 4096
     with pytest.raises(ValueError):
         oracle.weyl_n(ps, [0] * 14)
 
-
-def test_wigner_table_at_reduces_mod_d():
-    ps = PhaseSpace(1, 3)
-    vals = np.arange(9.0).reshape(3, 3)
-    W = oracle.WignerTable(ps, vals)
-    assert W.at((4, -1)) == vals[1, 2]
