@@ -335,6 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, attr, 1) is not None and getattr(args, attr, 1) < 1:
             print(f"error: --{attr} must be positive", file=sys.stderr)
             return 2
+    if getattr(args, "seed", 0) < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return 2
     if getattr(args, "d", 2) < 2:
         print("error: --d must be >= 2", file=sys.stderr)
         return 2

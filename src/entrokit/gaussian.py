@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .inequalities import Inequality, evaluate_float
-from .phasespace import particles, subset_size
+from .inequalities import evaluate_float, ingleton
+from .phasespace import chain_orders, particles, subset_size
 
 PHYSICALITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
@@ -49,6 +50,8 @@ class GaussianState:
             raise ValueError(f"mu must have shape ({2 * self.n},)")
         if sigma.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"sigma must be {2 * self.n} x {2 * self.n}")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         if self.sigma_vac not in (0.5, 1.0):
@@ -77,12 +80,55 @@ def is_physical(g: GaussianState) -> tuple[bool, float]:
     return margin >= -PHYSICALITY_TOL, margin
 
 
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a matrix or a stack of them; the positive-definiteness check."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance submatrix is not positive definite") from None
+
+
 def _logdet(mat: np.ndarray) -> float:
-    # symmetric factorization avoids sign noise from LU pivoting
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() <= 0:
-        raise ValueError("covariance submatrix is not positive definite")
-    return float(np.log(evals).sum())
+    return float(2 * np.log(np.diagonal(_cholesky(mat))).sum())
+
+
+@lru_cache(maxsize=None)
+def _chain_gather(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
+    """Row and column gathers of Sigma for each order of ``chain_orders(n)``,
+    every nonempty mask in increasing order, and the flat (order, prefix length)
+    position of each mask's first prefix."""
+    orders = chain_orders(n)
+    cols = np.array([[c for x in pi for c in (2 * x, 2 * x + 1)] for pi in orders])
+    first: dict[int, int] = {}
+    for o, pi in enumerate(orders):
+        mask = 0
+        for k, x in enumerate(pi):
+            mask |= 1 << x
+            first.setdefault(mask, o * n + k)
+    masks = tuple(sorted(first))
+    return cols[:, :, None], cols[:, None, :], masks, np.array([first[m] for m in masks])
+
+
+def subsystem_logdets(sigma: np.ndarray, n: int) -> dict[int, float]:
+    """mask -> log det Sigma_mask for every nonempty mask, from one stacked Cholesky.
+
+    With Sigma's mode pairs permuted by an order pi of ``chain_orders``, Cholesky
+    rows 0 .. 2k-1 factor Sigma_I for the prefix set I = pi(0..k-1), so
+    log det Sigma_I is the sum of 2 log L_ii over them.  The prefix sets are the
+    complements of the suffix sets, which cover every nonempty subset.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (2 * n, 2 * n):
+        raise ValueError(f"sigma must be {2 * n} x {2 * n}")
+    rows, cols, masks, at = _chain_gather(n)
+    diag = np.diagonal(_cholesky(sigma[rows, cols]), axis1=1, axis2=2)
+    cum = np.cumsum(2 * np.log(diag), axis=1)[:, 1::2]
+    return dict(zip(masks, cum.ravel()[at].tolist()))
+
+
+def _renyi2_entries(g: GaussianState) -> dict[int, float]:
+    shift = math.log(g.sigma_vac)
+    return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in subsystem_logdets(g.sigma, g.n).items()}
 
 
 def renyi2_quantum(g: GaussianState, mask: int) -> float:
@@ -138,19 +184,11 @@ def mc_renyi2(
         raise ValueError("empty mode subset")
     sigma = g.submatrix(mask)
     dim = sigma.shape[0]
-    evals = np.linalg.eigvalsh(sigma)
-    if evals.min() <= 0:
-        raise ValueError("degenerate covariance submatrix")
-    idx = []
-    for i in particles(mask):
-        idx.extend((2 * i, 2 * i + 1))
-    mu = g.mu[idx]
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(sigma)
-    xs = rng.standard_normal((samples, dim)) @ chol.T
-    prec = np.linalg.inv(sigma)
-    quad = np.einsum("ij,jk,ik->i", xs, prec, xs)
-    lognorm = -0.5 * (dim * math.log(2 * math.pi) + _logdet(sigma))
+    chol = _cholesky(sigma)
+    # a draw x = L z of W, centred, has x^T Sigma^-1 x = z^T z
+    z = np.random.default_rng(seed).standard_normal((samples, dim))
+    quad = np.einsum("ij,ij->i", z, z)
+    lognorm = -0.5 * dim * math.log(2 * math.pi) - float(np.log(np.diagonal(chol)).sum())
     w = np.exp(lognorm - 0.5 * quad)
     mean = w.mean()
     est = -math.log(mean)
@@ -174,8 +212,7 @@ def entropy_vector_gaussian(g: GaussianState) -> GaussianEntropyVector:
     ok, margin = is_physical(g)
     if not ok:
         raise ValueError(f"state is unphysical (margin {margin:g})")
-    entries = {mask: renyi2_quantum(g, mask) for mask in range(1, 1 << g.n)}
-    return GaussianEntropyVector(g.n, entries)
+    return GaussianEntropyVector(g.n, _renyi2_entries(g))
 
 
 # --- Ingleton violation search -------------------------------------------
@@ -205,11 +242,8 @@ class SearchResult:
 
 def ingleton_value(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
     """The Ingleton combination on the Renyi-2 entropy vector of a 4-mode Sigma."""
-    from .inequalities import ingleton
-
-    g = GaussianState(4, np.zeros(8), sigma, sigma_vac)
-    q = ingleton(4, 1, 2, 4, 8)
-    return evaluate_float(q, lambda mask: renyi2_quantum(g, mask))
+    entries = _renyi2_entries(GaussianState(4, np.zeros(8), sigma, sigma_vac))
+    return evaluate_float(ingleton(4, 1, 2, 4, 8), entries.__getitem__)
 
 
 def _project_physical(sigma: np.ndarray, sigma_vac: float, target: float) -> np.ndarray:

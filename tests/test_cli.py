@@ -215,6 +215,13 @@ def test_bad_arguments(outdir, capsys):
     assert "unknown strategy 'bogus'" in capsys.readouterr().err
     assert main(["gaussian", "mc", "--samples", "5000", "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: need at least 10^4 samples")
+    for argv in (
+        ["gaussian", "verify", "--n", "1", "--trials", "1", "--seed", "-1"],
+        ["gaussian", "mc", "--samples", "10000", "--seed", "-1"],
+        ["gaussian", "ingleton-search", "--seed", "-3", "--iters", "10"],
+    ):
+        assert main(argv + ["--out", str(outdir / "neg.json")]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
     # no rc-2 path leaves a report behind
     assert not list(outdir.iterdir())
     corpus = str(outdir / "corpus.json")

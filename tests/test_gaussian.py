@@ -29,6 +29,67 @@ def test_state_validation():
         gsn.GaussianState(1, np.zeros(2), np.eye(2), sigma_vac=0.25)
 
 
+def test_state_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        sigma = np.eye(2)
+        sigma[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gsn.GaussianState(1, np.zeros(2), sigma)
+        sigma = np.eye(2)
+        sigma[0, 1] = sigma[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gsn.GaussianState(1, np.zeros(2), sigma)
+        with pytest.raises(ValueError, match="finite"):
+            gsn.GaussianState(1, np.array([0.0, bad]), np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        gsn.ingleton_value(np.full((8, 8), np.nan))
+
+
+def eigvalsh_logdet(mat):
+    return float(np.log(np.linalg.eigvalsh(mat)).sum())
+
+
+def test_subsystem_logdets_match_eigvalsh():
+    rng = np.random.default_rng(21)
+    for n in range(1, 6):
+        for _ in range(5):
+            sigma = random_physical(rng, n).sigma
+            logdets = gsn.subsystem_logdets(sigma, n)
+            assert list(logdets) == list(range(1, 1 << n))
+            for mask, value in logdets.items():
+                idx = [c for i in range(n) if mask >> i & 1 for c in (2 * i, 2 * i + 1)]
+                assert abs(value - eigvalsh_logdet(sigma[np.ix_(idx, idx)])) < 1e-12
+
+
+def test_ingleton_value_is_one_cholesky(monkeypatch):
+    calls = {"cholesky": 0, "eigvalsh": 0}
+    for name in calls:
+        inner = getattr(np.linalg, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    with open(FIXTURE) as fh:
+        sigma = np.array(json.load(fh)["Sigma"])
+    gsn.ingleton_value(sigma)
+    assert calls == {"cholesky": 1, "eigvalsh": 0}
+
+
+def test_non_positive_definite_sigma_raises_value_error():
+    sigma = np.eye(8)
+    sigma[5, 5] = -1.0
+    for fn in (
+        lambda: gsn.subsystem_logdets(sigma, 4),
+        lambda: gsn.ingleton_value(sigma),
+        lambda: gsn.renyi2_quantum(gsn.GaussianState(4, np.zeros(8), sigma), 4),
+    ):
+        with pytest.raises(ValueError, match="not positive definite") as exc:
+            fn()
+        assert type(exc.value) is ValueError
+
+
 def test_vacuum_is_borderline_physical_with_zero_entropy():
     for sv in (0.5, 1.0):
         g = gsn.GaussianState.vacuum(2, sv)
@@ -122,6 +183,26 @@ def test_mc_matches_closed_form_and_is_deterministic():
     assert abs(est1 - exact) < 5 * se1
 
 
+def test_mc_matches_unwhitened_formula():
+    from entrokit.cli import _mc_fixture
+
+    g, mask = _mc_fixture("correlated")
+    samples, seed = 10**4, 7
+    # the estimator before whitening: draw x = L z and form x^T Sigma^-1 x
+    sigma = g.submatrix(mask)
+    dim = sigma.shape[0]
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((samples, dim)) @ np.linalg.cholesky(sigma).T
+    quad = np.einsum("ij,jk,ik->i", xs, np.linalg.inv(sigma), xs)
+    w = np.exp(-0.5 * (dim * math.log(2 * math.pi) + eigvalsh_logdet(sigma)) - 0.5 * quad)
+    mean = w.mean()
+    theta = -np.log((samples * mean - w) / (samples - 1))
+    se = math.sqrt((samples - 1) / samples * ((theta - theta.mean()) ** 2).sum())
+    est2, se2 = gsn.mc_renyi2(g, mask, samples, seed)
+    assert abs(est2 + math.log(mean)) < 1e-12
+    assert abs(se2 - se) < 1e-12
+
+
 def test_mc_input_validation():
     g = gsn.GaussianState.vacuum(1)
     with pytest.raises(ValueError):
@@ -160,6 +241,25 @@ def test_ingleton_search_finds_violation():
     # result is reproducible per seed
     res2 = gsn.ingleton_search(seed=11, iterations=3000)
     assert res2.value == res.value
+
+
+def test_ingleton_search_trajectory_matches_eigvalsh_reference(monkeypatch):
+    q = ingleton(4, 1, 2, 4, 8)
+
+    def reference(sigma, sigma_vac=0.5):
+        g = gsn.GaussianState(4, np.zeros(8), sigma, sigma_vac)
+        evals = {m: np.linalg.eigvalsh(g.submatrix(m)) for m in q.nu}
+        if min(e.min() for e in evals.values()) <= 0:
+            raise ValueError("covariance submatrix is not positive definite")
+        return evaluate_float(
+            q, lambda m: 0.5 * float(np.log(evals[m]).sum()) - bin(m).count("1") * math.log(sigma_vac)
+        )
+
+    res = gsn.ingleton_search(seed=3, iterations=500)
+    monkeypatch.setattr(gsn, "ingleton_value", reference)
+    ref = gsn.ingleton_search(seed=3, iterations=500)
+    assert np.array_equal(res.sigma, ref.sigma)
+    assert abs(res.value - ref.value) < 1e-12
 
 
 def test_ingleton_search_validation_and_json():
