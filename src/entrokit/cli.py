@@ -19,15 +19,15 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from . import inequalities as ineq
-from .phasespace import PhaseSpace, particles, subset_size
+from .phasespace import PhaseSpace, particles, subset_size, subsystem_orders
 from .stabilizer import (
     CLASSICAL,
     ENUMERATION_GUARD,
     QUANTUM,
     EntropyVector,
     ExactEntropy,
-    entropy_vector,
     enumerate_isotropic,
+    vector_from_orders,
 )
 
 OUTPUT_DIR_ENV = "ENTROKIT_OUTPUT_DIR"
@@ -59,30 +59,37 @@ def cmd_enumerate(args) -> int:
         print(f"error: d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}", file=sys.stderr)
         return 2
     out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
+    ps = PhaseSpace(n, d)
+    blocks: dict[tuple[int, ...], tuple[str, ...]] = {}  # quantum orders -> both serialized blocks
     with open(out, "w") as fh:
-        for idx, st in enumerate(enumerate_isotropic(PhaseSpace(n, d))):
-            record = {
-                "index": idx,
-                "d": d,
-                "n": n,
-                "generators": [list(g) for g in st.M.generators()],
-                "quantum": _vector_obj(entropy_vector(st, QUANTUM)),
-                "classical": _vector_obj(entropy_vector(st, CLASSICAL)),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for idx, st in enumerate(enumerate_isotropic(ps)):
+            orders = subsystem_orders(ps, st.M)  # the one kernel run per state
+            key = tuple(orders[mask] for mask in range(1, 1 << n))
+            if key not in blocks:
+                blocks[key] = tuple(
+                    json.dumps(_vector_obj(vector_from_orders(ps, orders, kind)), sort_keys=True)
+                    for kind in (CLASSICAL, QUANTUM)
+                )
+            classical, quantum = blocks[key]
+            gens = json.dumps(st.M.generators())
+            # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
+            fh.write(
+                f'{{"classical": {classical}, "d": {d}, "generators": {gens}, "index": {idx},'
+                f' "n": {n}, "quantum": {quantum}}}\n'
+            )
     print(out)
     return 0
 
 
 def _block_orders(rec: dict, kind: str, sizes: list[int]) -> dict[int, int]:
-    """mask -> order of one block: masks 1..2^n - 1, size == popcount(mask), integer orders."""
+    """mask -> order of one block: masks 1..2^n - 1, integer masks, sizes and orders, size == popcount(mask)."""
     entries = rec[kind]["entries"]
     orders = {e["mask"]: e["order"] for e in entries}
     if len(entries) != len(sizes) - 1 or sorted(orders) != list(range(1, len(sizes))):
         raise ValueError(f"{kind} masks are not exactly 1..{len(sizes) - 1}")
     for e in entries:
-        if e["size"] != sizes[e["mask"]] or type(e["order"]) is not int:
-            raise ValueError(f"{kind} entry {e}: needs size == popcount(mask) and an integer order")
+        if not type(e["mask"]) is type(e["size"]) is type(e["order"]) is int or e["size"] != sizes[e["mask"]]:
+            raise ValueError(f"{kind} entry {e}: needs integer mask, size and order, and size == popcount(mask)")
     return orders
 
 
@@ -93,9 +100,11 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     naming its 0-based index: one (d, n) within the enumeration guard across
     the file, both blocks well formed (see _block_orders), and for each mask
     0 < |M_I| <= d^|I| and the order identity |M_I| * |pi_I(M_perp)| == d^(2|I|).
+    Records with the same orders share one vector object.
     """
     d = n = None
     idx = -1
+    shared: dict[tuple[int, ...], EntropyVector] = {}
     with open(path) as fh:
         for line in fh:
             if not line.strip():
@@ -126,8 +135,11 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"record {idx}: {detail}") from None
             orders = quantum if kind == QUANTUM else classical
-            entries = {mask: ExactEntropy(sizes[mask], order, d, kind) for mask, order in orders.items()}
-            yield EntropyVector(n, d, kind, entries)
+            key = tuple(orders[mask] for mask in range(1, 1 << n))
+            if key not in shared:
+                entries = {mask: ExactEntropy(sizes[mask], order, d, kind) for mask, order in enumerate(key, 1)}
+                shared[key] = EntropyVector(n, d, kind, entries)
+            yield shared[key]
     if d is None:
         raise ValueError("empty corpus")
 
@@ -164,7 +176,8 @@ def cmd_verify(args) -> int:
             if not ineqs:
                 raise ValueError("no inequalities selected")
             report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
-            fh.write(report.to_json() + "\n")
+            fh.writelines(report.chunks())
+            fh.write("\n")
     except (OSError, ValueError) as exc:
         os.remove(out)  # no rc-2 path leaves a report
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .phasespace import subset_size
 from .stabilizer import CLASSICAL, QUANTUM, EntropyVector
@@ -286,33 +287,59 @@ class Violation:
 
 @dataclass
 class VerificationReport:
+    """The outcome of a batch, held once per distinct entropy vector.
+
+    ``vector_ids[k]`` is the id of state k's vector, ids numbered by first
+    occurrence; ``failures[v]`` holds (inequality, lhs, rhs) for each
+    inequality that vector v violates, in inequality order.
+    """
+
     name: str
-    states_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
     min_slack: float = float("inf")
+    vector_ids: array = field(default_factory=lambda: array("I"))
+    failures: list[list[tuple[str, int, int]]] = field(default_factory=list)
+
+    @property
+    def states_checked(self) -> int:
+        return len(self.vector_ids)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not any(self.failures)
+
+    @property
+    def violation_count(self) -> int:
+        return sum(len(self.failures[v]) for v in self.vector_ids)
+
+    @property
+    def violations(self) -> list[Violation]:
+        """Every violation in state order, built on demand."""
+        return [Violation(k, *f) for k, v in enumerate(self.vector_ids) for f in self.failures[v]]
+
+    def chunks(self) -> Iterator[str]:
+        """The JSON report in pieces, violations in state order; ``to_json`` joins them."""
+        head = {
+            "name": self.name,
+            "states_checked": self.states_checked,
+            "passed": self.passed,
+            "min_slack": self.min_slack if math.isfinite(self.min_slack) else None,
+            "violations": [],
+        }
+        yield json.dumps(head)[: -len("]}")]
+        # each violation object past its "state" key, serialized once per distinct vector
+        tails = [
+            [json.dumps({"inequality": name, "lhs": str(lhs), "rhs": str(rhs)})[1:] for name, lhs, rhs in f]
+            for f in self.failures
+        ]
+        sep = ""
+        for k, v in enumerate(self.vector_ids):
+            for tail in tails[v]:
+                yield f'{sep}{{"state": {k}, {tail}'
+                sep = ", "
+        yield "]}"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "states_checked": self.states_checked,
-                "passed": self.passed,
-                "min_slack": self.min_slack if math.isfinite(self.min_slack) else None,
-                "violations": [
-                    {
-                        "state": v.state_id,
-                        "inequality": v.inequality,
-                        "lhs": str(v.lhs),
-                        "rhs": str(v.rhs),
-                    }
-                    for v in self.violations
-                ],
-            }
-        )
+        return "".join(self.chunks())
 
 
 def verify_batch(
@@ -320,28 +347,37 @@ def verify_batch(
     vectors: Iterable[EntropyVector],
     name: str = "batch",
 ) -> VerificationReport:
-    """Evaluate every inequality exactly on every entropy vector.
+    """Evaluate every inequality exactly on every distinct entropy vector.
 
-    The smallest value is tracked as the exact pair (lhs, rhs) with the
-    least ratio lhs/rhs, compared by cross-multiplying; ``min_slack`` is
-    log_d of that ratio, so a tight instance reads exactly 0.0.  Every vector
-    must share one d: ratios taken in different bases are not comparable.
+    Every vector must share one d and one kind: ratios taken in different
+    bases are not comparable.  A vector is then fixed by its orders
+    (``EntropyVector.orders``), so ``evaluate_exact`` runs once per pair of
+    inequality and distinct vector, and each state keeps only its vector's id.
+    The smallest value is tracked as the first exact pair (lhs, rhs) with the
+    least ratio lhs/rhs in state, then inequality order, compared by
+    cross-multiplying; a repeated vector repeats pairs already compared.
+    ``min_slack`` is log_d of that ratio, so a tight instance reads exactly 0.0.
     """
     ineqs = list(inequalities)
     report = VerificationReport(name)
-    d = low = None
+    ids: dict[tuple[int, ...], int] = {}
+    d = kind = low = None
     for idx, vec in enumerate(vectors):
         if d is None:
-            d = vec.d
-        elif vec.d != d:
-            raise ValueError(f"vector {idx} has d = {vec.d}, not {d}")
-        report.states_checked += 1
-        for q in ineqs:
-            ok, lhs, rhs = evaluate_exact(q, vec)
-            if low is None or lhs * low[1] < low[0] * rhs:
-                low = (lhs, rhs)
-            if not ok:
-                report.violations.append(Violation(idx, q.name, lhs, rhs))
+            d, kind = vec.d, vec.kind
+        elif (vec.d, vec.kind) != (d, kind):
+            raise ValueError(f"vector {idx} has (d, kind) = ({vec.d}, {vec.kind}), not ({d}, {kind})")
+        vid = ids.setdefault(vec.orders, len(ids))
+        if vid == len(report.failures):  # first occurrence
+            failures = []
+            for q in ineqs:
+                ok, lhs, rhs = evaluate_exact(q, vec)
+                if low is None or lhs * low[1] < low[0] * rhs:
+                    low = (lhs, rhs)
+                if not ok:
+                    failures.append((q.name, lhs, rhs))
+            report.failures.append(failures)
+        report.vector_ids.append(vid)
     if low is not None:
         report.min_slack = (math.log(low[0]) - math.log(low[1])) / math.log(d)
     return report

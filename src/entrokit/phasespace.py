@@ -73,8 +73,9 @@ def is_isotropic(ps: PhaseSpace, M: Subgroup) -> bool:
     """True iff the form vanishes mod d on all pairs of generators.
 
     The mod-d condition is the Weyl commutation criterion.  Even-d subgroups
-    passing it still yield valid projectors: the ordered-product construction
-    absorbs the sign bookkeeping.
+    passing it still yield valid projectors, although w(g)^k may differ from
+    w(k g) by a sign: ``oracle.projector`` keeps, generator by generator, one
+    eigenspace of w(g) that is present on what is left.
     """
     gens = M.generators()
     d = ps.d

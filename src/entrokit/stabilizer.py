@@ -1,18 +1,21 @@
 """Entropy vectors of stabilizer states from the subgroup description alone.
 
 Entropies are stored exactly as (subset size, subgroup order) pairs; decimal
-values only appear at the I/O boundary.  Both vectors come from one chain
-kernel, ``phasespace.subsystem_orders`` (|S ∩ V_I| for every subset I from
-C(n, floor(n/2)) HNFs of S): the quantum order is |M_I| = |M ∩ V_I|, the
-classical one |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar|, since pi_I on
-M_perp has kernel M_perp ∩ V_Ibar.  The order identity
-|M_I| * |pi_I(M_perp)| = d^{2|I|} thus still compares two different subgroups.
+values only appear at the I/O boundary.  One run of the chain kernel
+``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every subset I from
+C(n, floor(n/2)) HNFs) gives both vectors: the quantum order is
+|M_I| = |M ∩ V_I|, and the classical one follows from the order identity
+|M_I| * |pi_I(M_perp)| = d^{2|I|}, which holds because pi_I(M_perp) is the
+annihilator of M ∩ V_I in V_I.  So no vector needs M_perp.  M_perp is kept for
+the check of that identity: ``order_identity_check`` counts
+|pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| from M_perp itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
@@ -58,6 +61,11 @@ class EntropyVector:
         expected = set(range(1, 1 << self.n))
         if set(self.entries) != expected:
             raise ValueError("entropy vector must have one entry per nonempty subset")
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """Subgroup orders over masks 1 .. 2^n - 1: with n, d and kind, the whole vector."""
+        return tuple(self.entries[mask].subgroup_order for mask in range(1, 1 << self.n))
 
     def rows(self) -> list[tuple[int, int, int, float]]:
         """(mask, size, order, entropy_log_d) rows, ascending by mask."""
@@ -111,23 +119,35 @@ def classical_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
 
 def order_identity_check(st: StabilizerState) -> bool:
     """S = H - |I| for every nonempty I, as the exact order identity
-    |pi_I(M_perp)| * |M_I| = d^{2|I|}; the two orders come from M and M_perp."""
-    s = entropy_vector(st, QUANTUM).entries
-    h = entropy_vector(st, CLASSICAL).entries
-    return all(h[mask].subgroup_order * e.subgroup_order == st.ps.d ** (2 * e.subset_size) for mask, e in s.items())
+    |pi_I(M_perp)| * |M_I| = d^{2|I|}, with each side counted from its own
+    subgroup: |M_I| from M, |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| from
+    M_perp, since pi_I on M_perp has kernel M_perp ∩ V_Ibar."""
+    ps = st.ps
+    inside = phsp.subsystem_orders(ps, st.M)
+    perp_inside = phsp.subsystem_orders(ps, st.perp)
+    return all(
+        st.perp.order * q == ps.d ** (2 * subset_size(mask)) * perp_inside.get(ps.full_mask ^ mask, 1)
+        for mask, q in inside.items()
+    )
+
+
+def vector_from_orders(ps: PhaseSpace, orders: dict[int, int], kind: str) -> EntropyVector:
+    """The entropy vector of ``kind`` from the quantum orders, mask -> |M_I|.
+
+    The classical order is |pi_I(M_perp)| = d^{2|I|} / |M_I| by the order identity.
+    """
+    if kind not in (QUANTUM, CLASSICAL):
+        raise ValueError(f"unknown kind {kind!r}")
+    d, entries = ps.d, {}
+    for mask in range(1, 1 << ps.n):
+        size = subset_size(mask)
+        order = orders[mask] if kind == QUANTUM else d ** (2 * size) // orders[mask]
+        entries[mask] = ExactEntropy(size, order, d, kind)
+    return EntropyVector(ps.n, d, kind, entries)
 
 
 def entropy_vector(st: StabilizerState, kind: str = QUANTUM) -> EntropyVector:
-    ps = st.ps
-    if kind == QUANTUM:
-        orders = phsp.subsystem_orders(ps, st.M)
-    elif kind == CLASSICAL:
-        inside = phsp.subsystem_orders(ps, st.perp)
-        orders = {mask: st.perp.order // inside.get(ps.full_mask ^ mask, 1) for mask in inside}
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    entries = {mask: ExactEntropy(subset_size(mask), orders[mask], ps.d, kind) for mask in range(1, 1 << ps.n)}
-    return EntropyVector(ps.n, ps.d, kind, entries)
+    return vector_from_orders(st.ps, phsp.subsystem_orders(st.ps, st.M), kind)
 
 
 def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:

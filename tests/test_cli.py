@@ -32,6 +32,10 @@ def test_enumerate_json(outdir):
     rec = records[0]
     assert set(rec) == {"index", "d", "n", "generators", "quantum", "classical"}
     assert len(rec["quantum"]["entries"]) == 3
+    # records are assembled from serialized blocks: each line must be the sorted-key dump
+    with open(outdir / "corpus_d2_n2.json") as fh:
+        for line in fh:
+            assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
 
 
 def test_enumerate_guard(outdir, capsys):
@@ -76,6 +80,37 @@ def test_verify_rejects_mixed_corpus(outdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_reports_every_state_of_a_shared_vector(outdir):
+    # two records with one vector but different index and generators: the
+    # vector is evaluated once, and the report lists violations for both states
+    from entrokit import inequalities as ineq
+    from entrokit.cli import _corpus_vectors
+
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    # |M_1| = |M_2| = 1 and |M| = 4: maximally entangled, so S_1 = 1 > S_12 = 0
+    entangled = [line for line in lines if [e["order"] for e in json.loads(line)["quantum"]["entries"]] == [1, 1, 4]]
+    twins, other = entangled[:2], lines[0]
+    corpus.write_text("\n".join([twins[0], other, twins[1]]) + "\n")
+    first, third = json.loads(twins[0]), json.loads(twins[1])
+    assert first["index"] != third["index"] and first["generators"] != third["generators"]
+    assert main(["verify", "--corpus", str(corpus), "--family", "monotonicity"]) == 1
+    report = read_lines(outdir / "report.json")[0]
+    vectors = list(_corpus_vectors(str(corpus), "quantum"))
+    assert vectors[0] is vectors[2]
+    expected = [
+        {"state": k, "inequality": q.name, "lhs": str(lhs), "rhs": str(rhs)}
+        for k, vec in enumerate(vectors)
+        for q in ineq.instances("monotonicity", 2)
+        for ok, lhs, rhs in [ineq.evaluate_exact(q, vec)]
+        if not ok
+    ]
+    assert report["violations"] == expected
+    states = [v["state"] for v in expected]
+    assert 0 in states and 2 in states and states == sorted(states)
+
+
 def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
     corpus = str(outdir / "corpus.json")
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
@@ -93,8 +128,10 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         lambda rec: rec["quantum"]["entries"][0].update(order=0),
         lambda rec: rec["quantum"]["entries"][0].update(order=10**30),
         lambda rec: '{"d": 2, ' + json.dumps(rec)[1:],
+        lambda rec: rec["quantum"]["entries"][0].update(mask=True),
+        lambda rec: rec["classical"]["entries"][0].update(size=True),
     ],
-    ids=["missing-entry", "missing-quantum", "order-0", "order-1e30", "repeated-d"],
+    ids=["missing-entry", "missing-quantum", "order-0", "order-1e30", "repeated-d", "bool-mask", "bool-size"],
 )
 def test_verify_rejects_malformed_record(outdir, capsys, edit):
     corpus = outdir / "corpus.json"
@@ -146,14 +183,30 @@ def test_verify_rejects_malformed_inequality(outdir, capsys, line):
     assert not (outdir / "report.json").exists()
 
 
-def test_enumerate_builds_each_complement_once(outdir, monkeypatch):
+def test_enumerate_builds_no_complement(outdir, monkeypatch):
+    # classical orders come from the order identity, so the pipeline needs no M_perp
     import entrokit.phasespace as phsp
 
     calls = []
     complement = phsp.symplectic_complement
     monkeypatch.setattr(phsp, "symplectic_complement", lambda ps, M: calls.append(M) or complement(ps, M))
     assert main(["enumerate", "--d", "2", "--n", "2"]) == 0
-    assert len(calls) == 31
+    assert len(read_lines(outdir / "corpus_d2_n2.json")) == 31
+    assert calls == []
+
+
+@pytest.mark.parametrize("d,n,states,chains", [(2, 3, 514, 3), (4, 2, 517, 2)])
+def test_enumerate_makes_one_kernel_run_per_state(outdir, monkeypatch, d, n, states, chains):
+    # one subsystem_orders run on M per state: C(n, floor(n/2)) chain orders, the
+    # identity's HNF being M.basis itself
+    import entrokit.zmod as zmod
+
+    calls = []
+    hermite = zmod._hermite_rows
+    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: calls.append(a) or hermite(*a))
+    assert main(["enumerate", "--d", str(d), "--n", str(n)]) == 0
+    assert len(read_lines(outdir / f"corpus_d{d}_n{n}.json")) == states
+    assert len(calls) == states * (chains - 1)
 
 
 def test_verify_missing_corpus(outdir, capsys):

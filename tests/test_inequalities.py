@@ -233,6 +233,55 @@ def test_verify_batch_rejects_mixed_d(corpus):
         ineq.verify_batch([ineq.Inequality(1, {1: 1})], vectors)
 
 
+def test_verify_batch_rejects_mixed_kinds(corpus):
+    st = corpus(2, 1)[1]
+    vectors = [entropy_vector(st, QUANTUM), entropy_vector(st, CLASSICAL)]
+    with pytest.raises(ValueError):
+        ineq.verify_batch([ineq.Inequality(1, {1: 1})], vectors)
+
+
+def test_verify_batch_evaluates_each_distinct_vector_once(corpus, monkeypatch):
+    vectors = [entropy_vector(st, QUANTUM) for st in corpus(2, 3)]
+    qs = ineq.instances("monotonicity", 3)
+    assert (len(vectors), len({vec.orders for vec in vectors}), len(qs)) == (514, 26, 30)
+    calls = []
+    evaluate = ineq.evaluate_exact
+    monkeypatch.setattr(ineq, "evaluate_exact", lambda q, h: calls.append(q) or evaluate(q, h))
+    report = ineq.verify_batch(qs, vectors)
+    assert len(calls) == 26 * 30
+    assert report.states_checked == 514 and not report.passed
+
+
+def unmemoised(qs, vectors):
+    """Every (state, inequality) pair evaluated: (violations, min_slack) as before memoisation."""
+    violations, low = [], None
+    for k, vec in enumerate(vectors):
+        for q in qs:
+            ok, lhs, rhs = ineq.evaluate_exact(q, vec)
+            if low is None or lhs * low[1] < low[0] * rhs:
+                low = (lhs, rhs)
+            if not ok:
+                violations.append(ineq.Violation(k, q.name, lhs, rhs))
+    return violations, (math.log(low[0]) - math.log(low[1])) / math.log(vectors[0].d)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 2), (6, 1), (6, 2)])
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_verify_batch_matches_unmemoised_reference(d, n, kind, corpus):
+    # the same violations in state order, and a bit-identical min_slack
+    qs = ineq.instances("ssa", n) + ineq.instances("monotonicity", n)
+    qs += [ineq.Inequality(n, {mask: 1}) for mask in range(1, 1 << n)]
+    vectors = [entropy_vector(st, kind) for st in corpus(d, n)]
+    violations, min_slack = unmemoised(qs, vectors)
+    report = ineq.verify_batch(qs, vectors)
+    assert report.min_slack == min_slack
+    assert report.violations == violations and report.violation_count == len(violations)
+    assert report.passed == (not violations) and report.states_checked == len(vectors)
+    assert json.loads(report.to_json())["violations"] == [
+        {"state": v.state_id, "inequality": v.inequality, "lhs": str(v.lhs), "rhs": str(v.rhs)} for v in violations
+    ]
+
+
 def test_mutual_information_helpers():
     nu = {}
     ineq.mutual_information(nu, 1, 2)

@@ -123,6 +123,24 @@ def test_order_identity_everywhere(d, n, corpus):
         assert order_identity_check(st)
 
 
+def test_order_identity_check_counts_from_m_perp(monkeypatch):
+    # criterion 1 compares two different subgroups: the kernel runs on M and on
+    # M_perp, so a wrong M_perp fails the check
+    import entrokit.phasespace as phsp
+
+    ps = PhaseSpace(2, 3)
+    st = StabilizerState(ps, Subgroup.from_generators([[1, 0, 1, 0]], 3, 4))
+    assert st.perp != st.M
+    seen = []
+    kernel = phsp.subsystem_orders
+    monkeypatch.setattr(phsp, "subsystem_orders", lambda ps, S: seen.append(S) or kernel(ps, S))
+    assert order_identity_check(st)
+    assert seen == [st.M, st.perp]
+    # as large as M_perp, but its image on particle 1 has 3 elements, not 9
+    st._perp = Subgroup.from_generators([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3, 4)
+    assert not order_identity_check(st)
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 1), (4, 2), (6, 1)])
 def test_quantum_order_matches_brute_force(d, n, corpus):
     # |M_I| from the exact sequence against a count of M ∩ V_I; composite d
