@@ -62,27 +62,27 @@ class Inequality:
 
     @classmethod
     def from_json(cls, text: str) -> "Inequality":
-        """One JSON object, no key repeated: int ``n >= 1``, ``nu`` mapping int masks to ints; else ValueError."""
+        """One JSON object, no key repeated: int ``n >= 1``, ``nu`` mapping canonical
+        decimal masks ("5", not "05", " 5" or "٥") to ints, an optional string
+        ``name``; else ValueError."""
         obj = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-        n, nu = obj.get("n"), obj.get("nu")
+        n, nu, name = obj.get("n"), obj.get("nu"), obj.get("name", "")
         if type(n) is not int or n < 1:
             raise ValueError(f"n = {n!r} is not an int >= 1")
         if not isinstance(nu, dict):
             raise ValueError(f"nu = {nu!r} is not an object")
+        if type(name) is not str:
+            raise ValueError(f"name = {name!r} is not a string")
         coeffs = {}
         for key, c in nu.items():
-            try:
-                mask = int(key)
-            except ValueError:
-                raise ValueError(f"nu key {key!r} is not an int mask") from None
+            if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+                raise ValueError(f"nu key {key!r} is not a canonical decimal mask")
             if type(c) is not int:
                 raise ValueError(f"coefficient {c!r} of mask {key!r} is not an int")
-            if mask in coeffs:
-                raise ValueError(f"mask {mask} appears twice in nu")
-            coeffs[mask] = c
-        return cls(n, coeffs, obj.get("name", ""))
+            coeffs[int(key)] = c
+        return cls(n, coeffs, name)
 
 
 def is_balanced(q: Inequality) -> bool:

@@ -45,12 +45,15 @@ def test_criterion_1_order_identity_exhaustive(corpus):
 
 @pytest.fixture(scope="module")
 def cross_checks(corpus):
-    """oracle.cross_check of every state, per corpus; shared by criteria 2-4."""
-    return {(d, n): [oracle.cross_check(st) for st in corpus(d, n)] for d, n in CORPORA}
+    """oracle.cross_check of every state, in memory-bounded chunks, per corpus; shared by criteria 2-4."""
+    return {
+        (d, n): [oracle.cross_check(chunk) for chunk in oracle.chunks(corpus(d, n), PhaseSpace(n, d))]
+        for d, n in CORPORA
+    }
 
 
 def worst_error(cross_checks, key, corpora=CORPORA):
-    return max(errs[key] for dn in corpora for errs in cross_checks[dn])
+    return max(float(errs[key].max()) for dn in corpora for errs in cross_checks[dn])
 
 
 def test_criterion_2_dense_entropies_match(cross_checks):
@@ -68,8 +71,7 @@ def test_criterion_4_wigner_leg(corpus, cross_checks):
     worst = worst_error(cross_checks, "wigner", odd)
     for d, n in odd:
         ps = PhaseSpace(n, d)
-        for st in corpus(d, n):
-            rho = oracle.dense_state(st)
+        for rho in oracle.dense_state(corpus(d, n)):
             W = oracle.wigner(rho, ps)
             for mask in range(1, (1 << n) - 1):
                 sub = PhaseSpace(len(particles(mask)), d)

@@ -183,6 +183,44 @@ def test_verify_rejects_malformed_inequality(outdir, capsys, line):
     assert not (outdir / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"n": 2, "nu": {"1_0": 1, "3": -1}}',
+        '{"n": 2, "nu": {" 3 ": 1, "1": -1}}',
+        '{"n": 2, "nu": {"\u0663": 1, "1": -1}}',
+        '{"n": 2, "nu": {"01": 1, "3": -1}}',
+        '{"n": 2, "nu": {"+1": 1, "3": -1}}',
+        '{"n": 2, "nu": {"": 1, "3": -1}}',
+        '{"n": 2, "name": ["ssa"], "nu": {"1": 1, "2": 1, "3": -1}}',
+        '{"n": 2, "name": {"a": 1}, "nu": {"1": 1, "2": 1, "3": -1}}',
+        '{"n": 2, "name": null, "nu": {"1": 1, "2": 1, "3": -1}}',
+        '{"n": 2, "name": 7, "nu": {"1": 1, "2": 1, "3": -1}}',
+    ],
+    ids=[
+        "underscore-mask",
+        "spaced-mask",
+        "arabic-indic-mask",
+        "leading-zero-mask",
+        "signed-mask",
+        "empty-mask",
+        "list-name",
+        "object-name",
+        "null-name",
+        "int-name",
+    ],
+)
+def test_verify_rejects_non_canonical_inequality(outdir, capsys, line):
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
+    path = outdir / "ineqs.json"
+    path.write_text(line + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--corpus", corpus, "--inequality", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: inequality 0: ")
+    assert not (outdir / "report.json").exists()
+
+
 def test_enumerate_builds_no_complement(outdir, monkeypatch):
     # classical orders come from the order identity, so the pipeline needs no M_perp
     import entrokit.phasespace as phsp
@@ -223,6 +261,36 @@ def test_oracle_check(outdir):
     report = read_lines(outdir / "oracle_check_d6_n1.json")[0]
     assert report["passed"] and report["states"] == 20
     assert main(["oracle-check", "--d", "5", "--n", "6"]) == 2  # dense guard
+
+
+def test_oracle_check_fails_cleanly_on_a_state_it_cannot_validate(outdir, monkeypatch, capsys):
+    import numpy as np
+
+    from entrokit import oracle
+
+    # the zero matrix in place of every projector: rho = 0/0 is not Hermitian
+    monkeypatch.setattr(oracle, "projector", lambda states: np.zeros((len(states), 9, 9), dtype=complex))
+    out = outdir / "o.json"
+    assert main(["oracle-check", "--d", "3", "--n", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: state is not Hermitian\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 3), (4, 2)])
+def test_oracle_check_report_does_not_depend_on_chunking(outdir, monkeypatch, d, n):
+    from entrokit import oracle
+
+    assert main(["oracle-check", "--d", str(d), "--n", str(n), "--out", "default.json"]) == 0
+    sizes = []
+    cross_check = oracle.cross_check
+    monkeypatch.setattr(oracle, "cross_check", lambda states: sizes.append(len(states)) or cross_check(states))
+    per_state = 16 * d * d ** (2 * n)  # bytes of one state's d Weyl powers
+    for size in (1, 7):
+        monkeypatch.setattr(oracle, "CHUNK_BYTES", size * per_state)
+        sizes.clear()
+        assert main(["oracle-check", "--d", str(d), "--n", str(n), "--out", f"chunk{size}.json"]) == 0
+        assert set(sizes[:-1]) == {size} and 0 < sizes[-1] <= size
+        assert (outdir / f"chunk{size}.json").read_bytes() == (outdir / "default.json").read_bytes()
 
 
 def test_gaussian_verify(outdir):
@@ -297,7 +365,7 @@ def test_oracle_check_opens_out_before_the_work(outdir, monkeypatch, capsys):
     from entrokit import oracle
 
     calls = []
-    monkeypatch.setattr(oracle, "cross_check", lambda st: calls.append(st) or {})
+    monkeypatch.setattr(oracle, "cross_check", lambda states: calls.append(states) or {})
     assert main(["oracle-check", "--d", "4", "--n", "2", "--out", str(outdir / "missing" / "x.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []

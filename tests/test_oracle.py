@@ -1,5 +1,6 @@
 """Dense Hilbert-space oracle: Weyl algebra, projectors, entropies, Wigner."""
 
+import functools
 import math
 from itertools import product
 
@@ -54,8 +55,8 @@ def test_weyl_mod_2d_periodicity():
 def test_projector_laws(d, n, corpus):
     ps = PhaseSpace(n, d)
     factor = oracle._weyl_periodic if d % 2 else oracle.weyl
-    for st in corpus(d, n):
-        P = oracle.projector(st)
+    states = corpus(d, n)
+    for st, P in zip(states, oracle.projector(states), strict=True):
         assert np.abs(P @ P - P).max() < oracle.ATOL_STRUCT
         assert np.abs(P - P.conj().T).max() < oracle.ATOL_STRUCT
         assert abs(np.trace(P).real - d**n / st.M.order) < oracle.ATOL_STRUCT
@@ -70,15 +71,16 @@ def test_projector_laws(d, n, corpus):
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (9, 1), (3, 2)])
 def test_projector_matches_odd_d_group_sum(d, n, corpus):
     ps = PhaseSpace(n, d)
-    for st in corpus(d, n):
+    states = corpus(d, n)
+    for st, P in zip(states, oracle.projector(states), strict=True):
         expect = sum(oracle.weyl_n(ps, m, oracle._weyl_periodic) for m in st.M.elements()) / st.M.order
-        assert np.abs(oracle.projector(st) - expect).max() < 1e-12
+        assert np.abs(P - expect).max() < 1e-12
 
 
 def test_dense_state_has_unit_trace():
     ps = PhaseSpace(2, 3)
     M = Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, -1]], 3, 4)
-    rho = oracle.dense_state(StabilizerState(ps, M))
+    (rho,) = oracle.dense_state([StabilizerState(ps, M)])
     assert abs(np.trace(rho) - 1) < 1e-12
     evals = np.linalg.eigvalsh(rho)
     assert evals.min() > -1e-12
@@ -132,8 +134,8 @@ def test_spectral_entropy_validation():
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (4, 1)])
 def test_dense_entropies_match_subgroup_formula(d, n, corpus):
     ps = PhaseSpace(n, d)
-    for st in corpus(d, n):
-        rho = oracle.dense_state(st)
+    states = corpus(d, n)
+    for st, rho in zip(states, oracle.dense_state(states), strict=True):
         for mask in range(1, 1 << n):
             red = oracle.reduced_state(rho, ps, mask)
             exact = len(particles(mask)) - math.log(
@@ -147,8 +149,8 @@ def test_dense_entropies_match_subgroup_formula(d, n, corpus):
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1)])
 def test_wigner_uniform_on_complement(d, n, corpus):
     ps = PhaseSpace(n, d)
-    for st in corpus(d, n):
-        W = oracle.wigner(oracle.dense_state(st), ps)
+    states = corpus(d, n)
+    for st, W in zip(states, oracle.wigner(oracle.dense_state(states), ps), strict=True):
         perp = st.perp
         for v in product(range(d), repeat=2 * n):
             expect = 1 / perp.order if perp.contains(list(v)) else 0.0
@@ -189,8 +191,7 @@ def test_wigner_marginal_commutes_with_partial_trace(corpus):
     d, n = 3, 2
     ps = PhaseSpace(n, d)
     sub = PhaseSpace(1, d)
-    for st in corpus(d, n)[::7]:
-        rho = oracle.dense_state(st)
+    for rho in oracle.dense_state(corpus(d, n)[::7]):
         W = oracle.wigner(rho, ps)
         for mask in (1, 2):
             left = oracle.wigner_marginal(W, ps, mask)
@@ -211,8 +212,8 @@ def test_even_d_reduced_spectra_match_formula(corpus):
     # projector by signs, but its spectrum is fully determined by |M_I|
     d, n = 4, 2
     ps = PhaseSpace(n, d)
-    for st in corpus(d, n)[::25]:
-        rho = oracle.dense_state(st)
+    states = corpus(d, n)[::25]
+    for st, rho in zip(states, oracle.dense_state(states), strict=True):
         for mask in (1, 2, 3):
             red = oracle.reduced_state(rho, ps, mask)
             evals = np.sort(np.linalg.eigvalsh(red))[::-1]
@@ -227,28 +228,205 @@ def test_even_d_reduced_spectra_match_formula(corpus):
 
 def test_cross_check_flags_the_wrong_state(monkeypatch, corpus):
     ps = PhaseSpace(1, 3)
-    for st in corpus(3, 1):
-        errs = oracle.cross_check(st)
-        assert errs["projector"] < oracle.ATOL_STRUCT
-        assert errs["entropy"] < oracle.ATOL_EIG
-        assert errs["wigner"] < oracle.ATOL_WIGNER
+    errs = oracle.cross_check(corpus(3, 1))
+    assert (errs["projector"] < oracle.ATOL_STRUCT).all()
+    assert (errs["entropy"] < oracle.ATOL_EIG).all()
+    assert (errs["wigner"] < oracle.ATOL_WIGNER).all()
     # a pure-state projector standing in for the maximally mixed state
-    pure = oracle.projector(StabilizerState(ps, Subgroup.from_generators([[1, 0]], 3, 2)))
+    pure = oracle.projector([StabilizerState(ps, Subgroup.from_generators([[1, 0]], 3, 2))])
     monkeypatch.setattr(oracle, "projector", lambda _: pure)
-    errs = oracle.cross_check(StabilizerState(ps, Subgroup.from_generators([], 3, 2)))
-    assert errs["projector"] > 1 and errs["entropy"] > 0.5 and errs["wigner"] > 0.1
+    errs = oracle.cross_check([StabilizerState(ps, Subgroup.from_generators([], 3, 2))])
+    assert errs["projector"][0] > 1 and errs["entropy"][0] > 0.5 and errs["wigner"][0] > 0.1
 
 
 def test_cross_check_diagonalises_each_reduced_state_once(monkeypatch, corpus):
-    calls = []
+    shapes = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: shapes.append(a[0].shape) or eigvalsh(*a))
     for d, n in ((3, 2), (2, 3)):
         states = corpus(d, n)[::50]
-        for st in states:
-            oracle.cross_check(st)
-        assert len(calls) == len(states) * (2**n - 1)
-        calls.clear()
+        oracle.cross_check(states)
+        # matrices passed to eigvalsh, over every stacked call
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == len(states) * (2**n - 1)
+        shapes.clear()
+
+
+def test_stacks_act_per_matrix():
+    # each stacked function gives, per matrix, what it gives on that matrix alone
+    rng = np.random.default_rng(12)
+    ps = PhaseSpace(2, 3)
+    a = rng.standard_normal((2, 3, 9, 9)) + 1j * rng.standard_normal((2, 3, 9, 9))
+    rho = a @ a.conj().swapaxes(-2, -1)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    W = oracle.wigner(rho, ps)
+    assert W.shape == (2, 3) + (3,) * 4
+    for mask in (1, 2, 3):
+        red = oracle.reduced_state(rho, ps, mask)
+        evals = oracle.spectrum(red)
+        for alpha in ("vonNeumann", 0.5, 2, 3):
+            stacked = oracle.spectral_entropy(evals, alpha, 3)
+            assert stacked.shape == (2, 3)
+            for i, j in product(range(2), range(3)):
+                assert np.array_equal(red[i, j], oracle.reduced_state(rho[i, j], ps, mask))
+                single = oracle.spectral_entropy(oracle.spectrum(red[i, j]), alpha, 3)
+                assert abs(stacked[i, j] - single) < 1e-14
+    for i, j in product(range(2), range(3)):
+        assert np.abs(W[i, j] - oracle.wigner(rho[i, j], ps)).max() < 1e-15
+    vs = rng.integers(-6, 6, size=(5, 4))
+    stack = oracle.weyl_n(ps, vs, oracle._weyl_periodic)
+    for v, U in zip(vs, stack, strict=True):
+        assert np.array_equal(U, reference_weyl_n(ps, v, periodic=True))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 1.0], [0.0, 0.5]]),  # not Hermitian
+        np.eye(2),  # trace 2
+        np.diag([1.5, -0.5]),  # not PSD
+    ],
+    ids=["not-hermitian", "trace-2", "not-psd"],
+)
+def test_spectrum_checks_every_matrix_of_a_stack(bad):
+    good = np.diag([0.5, 0.5])
+    assert oracle.spectrum(np.array([good] * 3)).shape == (3, 2)
+    for k in range(3):
+        stack = np.array([good] * 3)
+        stack[k] = bad
+        with pytest.raises(ValueError):
+            oracle.spectrum(stack)
+        with pytest.raises(ValueError):
+            oracle.spectrum(stack.reshape(3, 1, 2, 2))
+
+
+# A test-local copy of the per-state oracle as it was before batching: kron of
+# single-particle Weyl matrices, the power loop U^x = U^{x-1} U, and one
+# spectrum per reduced state.  The batched oracle must agree with it per state.
+
+
+def reference_weyl_n(ps, v, periodic):
+    d = ps.d
+    x = np.arange(d)
+    factors = []
+    for p, q in zip(v[0::2], v[1::2]):
+        w = np.zeros((d, d), dtype=complex)
+        if periodic:
+            w[x, (x - q) % d] = np.exp(2j * np.pi * ((p * x - (d + 1) // 2 * p * q) % d) / d)
+        else:
+            w[x, (x - q) % d] = np.exp(1j * np.pi * (2 * p * x - p * q) / d)
+        factors.append(w)
+    return functools.reduce(np.kron, factors)
+
+
+def reference_projector(st):
+    ps = st.ps
+    d = ps.d
+    P = np.eye(d**ps.n, dtype=complex)
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    for g in st.M.generators():
+        U = reference_weyl_n(ps, g, periodic=d % 2)
+        powers = [np.eye(len(U), dtype=complex)]
+        for _ in range(d - 1):
+            powers.append(powers[-1] @ U)
+        powers = np.array(powers)
+        mult = (phases @ np.einsum("ij,xji->x", P, powers)).real / d
+        j = int(np.argmax(mult > 0.5))
+        P = P @ np.tensordot(phases[j], powers, axes=1) / d
+    return P
+
+
+def reference_reduced_state(rho, ps, mask):
+    keep = particles(mask)
+    tensor = rho.reshape([ps.d] * (2 * ps.n))
+    for i in sorted(set(range(ps.n)) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=i, axis2=tensor.ndim // 2 + i)
+    return tensor.reshape(ps.d ** len(keep), ps.d ** len(keep))
+
+
+def reference_entropies(rho, d):
+    assert np.allclose(rho, rho.conj().T, atol=oracle.ATOL_EIG)
+    assert abs(np.trace(rho).real - 1.0) <= oracle.ATOL_EIG
+    evals = np.linalg.eigvalsh(rho)
+    assert evals.min() >= -oracle.ATOL_EIG
+    evals = np.clip(evals, 0.0, None)
+    evals[evals < 1e-12] = 0.0
+    nz = evals[evals > 0]
+    out = [float(-(nz * np.log(nz)).sum() / math.log(d))]
+    for alpha in (0.5, 2.0, 3.0):
+        out.append(float(np.log((evals**alpha).sum()) / ((1 - alpha) * math.log(d))))
+    return out
+
+
+def reference_wigner(rho, ps):
+    d, n = ps.d, ps.n
+    tau = (d + 1) // 2
+    R = np.zeros((d,) * (2 * n), dtype=complex)
+    T = rho.reshape((d,) * (2 * n))
+    for tq in product(range(d), repeat=2 * n):
+        ts, qs = tq[0::2], tq[1::2]
+        row = tuple((tau * q + t) % d for t, q in zip(ts, qs))
+        col = tuple((tau * q - t) % d for t, q in zip(ts, qs))
+        R[tq] = T[row + col]
+    return (np.fft.fftn(R, axes=range(0, 2 * n, 2)) / d**n).real
+
+
+def reference_cross_check(st):
+    ps = st.ps
+    d = ps.d
+    P = reference_projector(st)
+    projector_err = max(
+        np.abs(P @ P - P).max(),
+        np.abs(P - P.conj().T).max(),
+        abs(np.trace(P).real - d**ps.n / st.M.order),
+    )
+    rho = P / np.trace(P).real
+    entropy_err = 0.0
+    for mask in range(1, 1 << ps.n):
+        exact = len(particles(mask)) - math.log(quantum_entropy(st, mask).subgroup_order) / math.log(d)
+        for value in reference_entropies(reference_reduced_state(rho, ps, mask), d):
+            entropy_err = max(entropy_err, abs(value - exact))
+    wigner_err = 0.0
+    if d % 2:
+        expect = np.zeros((d,) * ps.m)
+        for v in st.perp.elements():
+            expect[v] = 1 / st.perp.order
+        wigner_err = np.abs(reference_wigner(rho, ps) - expect).max()
+    return P, {"projector": projector_err, "entropy": entropy_err, "wigner": wigner_err}
+
+
+def assert_matches_reference(states):
+    ps = states[0].ps
+    errs = oracle.cross_check(states)
+    for st, P, k in zip(states, oracle.projector(states), range(len(states)), strict=True):
+        ref_P, ref = reference_cross_check(st)
+        assert np.abs(P - ref_P).max() < 1e-13
+        for key, value in ref.items():
+            assert abs(errs[key][k] - value) < 1e-13, (key, k)
+
+
+@pytest.mark.parametrize("d,n,step", [(3, 2, 1), (4, 2, 1), (2, 3, 1), (5, 1, 1), (6, 1, 1), (6, 2, 10)])
+def test_batched_cross_check_matches_per_state_reference(d, n, step, corpus):
+    ps = PhaseSpace(n, d)
+    for chunk in oracle.chunks(corpus(d, n)[::step], ps):
+        assert_matches_reference(chunk)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (6, 2)])
+def test_mixed_batch_matches_per_state_reference(d, n, corpus):
+    # the trivial M (no generator, every slot padded), pure states (|M| = d^n)
+    # and mixed states with the fewest and the most generators, in one batch
+    states = corpus(d, n)
+    trivial = next(st for st in states if st.M.order == 1)
+    pure = [st for st in states if st.M.order == d**n]
+    mixed = sorted((st for st in states if 1 < st.M.order < d**n), key=lambda st: len(st.M.generators()))
+    batch = [mixed[0], trivial, pure[-1], mixed[-1], pure[0]]
+    assert len({len(st.M.generators()) for st in batch}) >= 3
+    assert_matches_reference(batch)
+    # each state's errors do not depend on the rest of its batch
+    alone = [oracle.cross_check([st]) for st in batch]
+    together = oracle.cross_check(batch)
+    for key in together:
+        assert np.array_equal(together[key], [errs[key][0] for errs in alone])
 
 
 def test_dense_guard():
