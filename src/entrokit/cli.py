@@ -25,7 +25,6 @@ from .stabilizer import (
     ENUMERATION_GUARD,
     QUANTUM,
     EntropyVector,
-    ExactEntropy,
     enumerate_isotropic,
     vector_from_orders,
 )
@@ -47,8 +46,8 @@ def _vector_obj(vec: EntropyVector) -> dict:
     return {
         "kind": vec.kind,
         "entries": [
-            {"mask": mask, "size": size, "order": order, "entropy_log_d": _fmt(val)}
-            for mask, size, order, val in vec.rows()
+            {"mask": mask, "size": e.subset_size, "order": e.subgroup_order, "entropy_log_d": _fmt(e.value)}
+            for mask, e in sorted(vec.entries.items())
         ],
     }
 
@@ -98,13 +97,15 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
 
     Each record is validated as it is read, and a bad one raises ValueError
     naming its 0-based index: one (d, n) within the enumeration guard across
-    the file, both blocks well formed (see _block_orders), and for each mask
-    0 < |M_I| <= d^|I| and the order identity |M_I| * |pi_I(M_perp)| == d^(2|I|).
-    Records with the same orders share one vector object.
+    the file, both blocks well formed (see _block_orders), quantum orders that
+    ``vector_from_orders`` accepts (each |M_I| a divisor of d^(2|I|) and at
+    most d^|I|), and classical orders equal to the ones it derives,
+    d^(2|I|) / |M_I|.  Both vectors are built once per distinct tuple of
+    quantum orders, so records with the same orders share one vector object.
     """
     d = n = None
     idx = -1
-    shared: dict[tuple[int, ...], EntropyVector] = {}
+    shared: dict[tuple[int, ...], dict[str, EntropyVector]] = {}
     with open(path) as fh:
         for line in fh:
             if not line.strip():
@@ -119,27 +120,20 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                     if d ** (2 * n) > ENUMERATION_GUARD:
                         raise ValueError(f"d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}")
                     sizes = [subset_size(mask) for mask in range(1 << n)]
-                    powers = [d**k for k in range(2 * n + 1)]
+                    ps = PhaseSpace(n, d)
                 elif (rec["d"], rec["n"]) != (d, n):
                     raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
                 quantum = _block_orders(rec, QUANTUM, sizes)
                 classical = _block_orders(rec, CLASSICAL, sizes)
-                for mask, q in quantum.items():
-                    size, c = sizes[mask], classical[mask]
-                    if not 0 < q <= powers[size] or q * c != powers[2 * size]:
-                        raise ValueError(
-                            f"mask {mask}: orders ({q}, {c}) need 0 < quantum <= d^{size}"
-                            f" and quantum * classical == d^{2 * size}"
-                        )
+                key = tuple(quantum[mask] for mask in range(1, 1 << n))
+                if key not in shared:
+                    shared[key] = {k: vector_from_orders(ps, quantum, k) for k in (QUANTUM, CLASSICAL)}
+                if shared[key][CLASSICAL].orders != tuple(classical[mask] for mask in range(1, 1 << n)):
+                    raise ValueError("classical orders are not d^(2|I|) / quantum orders")
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"record {idx}: {detail}") from None
-            orders = quantum if kind == QUANTUM else classical
-            key = tuple(orders[mask] for mask in range(1, 1 << n))
-            if key not in shared:
-                entries = {mask: ExactEntropy(sizes[mask], order, d, kind) for mask, order in enumerate(key, 1)}
-                shared[key] = EntropyVector(n, d, kind, entries)
-            yield shared[key]
+            yield shared[key][kind]
     if d is None:
         raise ValueError("empty corpus")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .phasespace import chain_orders, particles, subset_size
 
 PHYSICALITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
+SEARCH_MARGIN = 1e-4  # every search candidate is projected to at least this physicality margin
 
 
 def symplectic_matrix(n: int) -> np.ndarray:
@@ -68,16 +69,9 @@ class GaussianState:
         return self.sigma[np.ix_(idx, idx)]
 
 
-def physicality_margin(g: GaussianState) -> float:
+def physicality_margin(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
     """Minimum eigenvalue of Sigma + i * sigma_vac * Omega."""
-    omega = symplectic_matrix(g.n)
-    herm = g.sigma + 1j * g.sigma_vac * omega
-    return float(np.linalg.eigvalsh(herm).min())
-
-
-def is_physical(g: GaussianState) -> tuple[bool, float]:
-    margin = physicality_margin(g)
-    return margin >= -PHYSICALITY_TOL, margin
+    return float(np.linalg.eigvalsh(sigma + 1j * sigma_vac * symplectic_matrix(len(sigma) // 2)).min())
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
@@ -86,10 +80,6 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise ValueError("covariance submatrix is not positive definite") from None
-
-
-def _logdet(mat: np.ndarray) -> float:
-    return float(2 * np.log(np.diagonal(_cholesky(mat))).sum())
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +121,17 @@ def _renyi2_entries(g: GaussianState) -> dict[int, float]:
     return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in subsystem_logdets(g.sigma, g.n).items()}
 
 
+def _half_log_det(g: GaussianState, mask: int) -> float:
+    """(1/2) log det Sigma_I, read from ``subsystem_logdets``, so a Sigma that is
+    not positive definite raises on every mask."""
+    if not 0 < mask < 1 << g.n:
+        raise ValueError(f"mode subset {mask} is empty or out of range")
+    return 0.5 * subsystem_logdets(g.sigma, g.n)[mask]
+
+
 def renyi2_quantum(g: GaussianState, mask: int) -> float:
     """S_2(rho_I) = -log tr rho_I^2 = (1/2) log det(Sigma_I / sigma_vac)."""
-    if not mask:
-        raise ValueError("empty mode subset")
-    k = subset_size(mask)
-    return 0.5 * _logdet(g.submatrix(mask)) - k * math.log(g.sigma_vac)
+    return _half_log_det(g, mask) - subset_size(mask) * math.log(g.sigma_vac)
 
 
 def renyi_alpha_classical(g: GaussianState, mask: int, alpha: float) -> float:
@@ -146,12 +141,7 @@ def renyi_alpha_classical(g: GaussianState, mask: int, alpha: float) -> float:
     """
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1; use shannon_classical for alpha = 1")
-    if not mask:
-        raise ValueError("empty mode subset")
-    k = subset_size(mask)
-    return 0.5 * _logdet(g.submatrix(mask)) + k * (
-        math.log(2 * math.pi) - math.log(alpha) / (1 - alpha)
-    )
+    return _half_log_det(g, mask) + subset_size(mask) * (math.log(2 * math.pi) - math.log(alpha) / (1 - alpha))
 
 
 def renyi_correction(alpha: float) -> float:
@@ -161,10 +151,7 @@ def renyi_correction(alpha: float) -> float:
 
 def shannon_classical(g: GaussianState, mask: int) -> float:
     """Differential Shannon entropy of the Wigner marginal (alpha -> 1 limit)."""
-    if not mask:
-        raise ValueError("empty mode subset")
-    k = subset_size(mask)
-    return 0.5 * _logdet(g.submatrix(mask)) + k * (math.log(2 * math.pi) + 1.0)
+    return _half_log_det(g, mask) + subset_size(mask) * (math.log(2 * math.pi) + 1.0)
 
 
 MC_MIN_SAMPLES = 10**4
@@ -199,20 +186,12 @@ def mc_renyi2(
     return est, se
 
 
-@dataclass(frozen=True)
-class GaussianEntropyVector:
-    n: int
-    entries: dict[int, float] = field(compare=False)
-
-    def value(self, mask: int) -> float:
-        return self.entries[mask]
-
-
-def entropy_vector_gaussian(g: GaussianState) -> GaussianEntropyVector:
-    ok, margin = is_physical(g)
-    if not ok:
+def entropy_vector_gaussian(g: GaussianState) -> dict[int, float]:
+    """mask -> S_2(rho_I) for every nonempty mask of a physical state."""
+    margin = physicality_margin(g.sigma, g.sigma_vac)
+    if margin < -PHYSICALITY_TOL:
         raise ValueError(f"state is unphysical (margin {margin:g})")
-    return GaussianEntropyVector(g.n, _renyi2_entries(g))
+    return _renyi2_entries(g)
 
 
 # --- Ingleton violation search -------------------------------------------
@@ -246,12 +225,11 @@ def ingleton_value(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
     return evaluate_float(ingleton(4, 1, 2, 4, 8), entries.__getitem__)
 
 
-def _project_physical(sigma: np.ndarray, sigma_vac: float, target: float) -> np.ndarray:
-    """Shift Sigma along the identity until Sigma + i sigma_vac Omega >= target."""
-    omega = symplectic_matrix(sigma.shape[0] // 2)
-    lam = np.linalg.eigvalsh(sigma + 1j * sigma_vac * omega).min()
-    if lam < target:
-        sigma = sigma + (target - lam) * np.eye(sigma.shape[0])
+def _project_physical(sigma: np.ndarray) -> np.ndarray:
+    """Shift Sigma along the identity until Sigma + i Omega / 2 >= SEARCH_MARGIN."""
+    lam = physicality_margin(sigma)
+    if lam < SEARCH_MARGIN:
+        sigma = sigma + (SEARCH_MARGIN - lam) * np.eye(sigma.shape[0])
     return sigma
 
 
@@ -262,19 +240,19 @@ def ingleton_search(
     seed: int,
     iterations: int,
     strategy: str = "random-wishart",
-    sigma_vac: float = 0.5,
     start: Optional[np.ndarray] = None,
 ) -> SearchResult:
-    """Search physical 4-mode covariance matrices for an Ingleton violation.
+    """Search physical 4-mode covariance matrices (sigma_vac = 1/2) for an
+    Ingleton violation.
 
     Random candidates are interleaved with local hill descent from the best
     one found so far; every candidate is projected back onto the physical set
-    with a margin, so a negative best value is always a certificate.
+    with the margin SEARCH_MARGIN, so a negative best value is always a
+    certificate.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)
-    margin_target = 1e-4
 
     def sample() -> np.ndarray:
         if strategy == "random-pure-plus-noise":
@@ -287,14 +265,10 @@ def ingleton_search(
         else:
             a = rng.standard_normal((8, 8 + rng.integers(0, 5)))
             cand = a @ a.T
-        return _project_physical(cand, sigma_vac, margin_target)
+        return _project_physical(cand)
 
-    best_sigma = _project_physical(
-        np.asarray(start, dtype=float) if start is not None else sample(),
-        sigma_vac,
-        margin_target,
-    )
-    best_val = ingleton_value(best_sigma, sigma_vac)
+    best_sigma = _project_physical(np.asarray(start, dtype=float) if start is not None else sample())
+    best_val = ingleton_value(best_sigma)
     for it in range(iterations):
         if strategy != "local-perturbation" and (best_val >= 0 or it % 4 == 0):
             cand = sample()
@@ -302,13 +276,13 @@ def ingleton_search(
             step = 10 ** rng.uniform(-4, -0.5)
             noise = rng.standard_normal((8, 8))
             cand = best_sigma + step * (noise + noise.T) / 2
-            cand = _project_physical(cand, sigma_vac, margin_target)
+            cand = _project_physical(cand)
         try:
-            val = ingleton_value(cand, sigma_vac)
+            val = ingleton_value(cand)
         except ValueError:
             continue
         if val < best_val:
             best_val, best_sigma = val, cand
-    margin = physicality_margin(GaussianState(4, np.zeros(8), best_sigma, sigma_vac))
+    margin = physicality_margin(best_sigma)
     found = best_val < -1e-6 and margin > 1e-6
     return SearchResult(best_sigma, best_val, margin, seed, iterations, found)

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .phasespace import subset_size
 from .stabilizer import CLASSICAL, QUANTUM, EntropyVector
@@ -210,21 +210,6 @@ def zhang_yeung(n: int = 4, A: int = 1, B: int = 2, C: int = 4, D: int = 8) -> I
 
 
 FAMILIES = ("monotonicity", "ssa", "weak_monotonicity", "ingleton", "zhang_yeung")
-
-
-def builtin(family: str, n: int, subsets: Sequence[int] = ()) -> Inequality:
-    """One inequality of a named family for explicit subset masks."""
-    if family == "monotonicity":
-        return monotonicity(n, *subsets)
-    if family == "ssa":
-        return strong_subadditivity(n, *subsets)
-    if family == "weak_monotonicity":
-        return weak_monotonicity(n, *subsets)
-    if family == "ingleton":
-        return ingleton(n, *subsets)
-    if family == "zhang_yeung":
-        return zhang_yeung(n, *subsets) if subsets else zhang_yeung(n)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def instances(family: str, n: int) -> list[Inequality]:

@@ -159,8 +159,8 @@ def dense_state(states: Sequence[StabilizerState]) -> np.ndarray:
 
 def reduced_state(rho: np.ndarray, ps: PhaseSpace, mask: int) -> np.ndarray:
     """Partial trace of a stack (..., D, D) onto the particles in ``mask`` (particle 1 = axis 0)."""
-    if not mask:
-        raise ValueError("empty particle subset")
+    if not 0 < mask <= ps.full_mask:
+        raise ValueError(f"particle subset {mask} is empty or out of range")
     dim = ps.d**ps.n
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected {dim} x {dim} matrices, got shape {rho.shape}")
@@ -273,6 +273,8 @@ def cross_check(states: Sequence[StabilizerState]) -> dict[str, np.ndarray]:
         ],
         axis=0,
     )
+    if not trace.all():
+        raise ValueError("projector has zero trace")
     rho = P / trace[:, None, None]
     vectors = [entropy_vector(st, QUANTUM).entries for st in states]
     entropy_errs = []

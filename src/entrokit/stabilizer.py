@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import phasespace as phsp
 from .phasespace import PhaseSpace, subset_size
@@ -67,14 +67,6 @@ class EntropyVector:
         """Subgroup orders over masks 1 .. 2^n - 1: with n, d and kind, the whole vector."""
         return tuple(self.entries[mask].subgroup_order for mask in range(1, 1 << self.n))
 
-    def rows(self) -> list[tuple[int, int, int, float]]:
-        """(mask, size, order, entropy_log_d) rows, ascending by mask."""
-        out = []
-        for mask in sorted(self.entries):
-            e = self.entries[mask]
-            out.append((mask, e.subset_size, e.subgroup_order, e.value))
-        return out
-
 
 class StabilizerState:
     """A stabilizer state, described purely by its isotropic subgroup."""
@@ -86,13 +78,10 @@ class StabilizerState:
             raise ValueError("subgroup is not isotropic")
         self.ps = ps
         self.M = M
-        self._perp: Optional[Subgroup] = None
 
-    @property
+    @cached_property
     def perp(self) -> Subgroup:
-        if self._perp is None:
-            self._perp = phsp.symplectic_complement(self.ps, self.M)
-        return self._perp
+        return phsp.symplectic_complement(self.ps, self.M)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StabilizerState) and self.M == other.M
@@ -132,17 +121,22 @@ def order_identity_check(st: StabilizerState) -> bool:
 
 
 def vector_from_orders(ps: PhaseSpace, orders: dict[int, int], kind: str) -> EntropyVector:
-    """The entropy vector of ``kind`` from the quantum orders, mask -> |M_I|.
+    """The entropy vector of ``kind`` from the quantum orders, mask -> |M_I|;
+    the one place an ``EntropyVector`` is built.
 
-    The classical order is |pi_I(M_perp)| = d^{2|I|} / |M_I| by the order identity.
+    Each |M_I| must divide d^{2|I|} and be at most d^{|I|}, as the order of an
+    isotropic subgroup of V_I is.  The classical order is
+    |pi_I(M_perp)| = d^{2|I|} / |M_I| by the order identity.
     """
     if kind not in (QUANTUM, CLASSICAL):
         raise ValueError(f"unknown kind {kind!r}")
     d, entries = ps.d, {}
     for mask in range(1, 1 << ps.n):
-        size = subset_size(mask)
-        order = orders[mask] if kind == QUANTUM else d ** (2 * size) // orders[mask]
-        entries[mask] = ExactEntropy(size, order, d, kind)
+        size, q = subset_size(mask), orders[mask]
+        full = d ** (2 * size)
+        if not (0 < q <= d**size and full % q == 0):
+            raise ValueError(f"mask {mask}: order {q} is not a divisor of d^{2 * size} at most d^{size}")
+        entries[mask] = ExactEntropy(size, q if kind == QUANTUM else full // q, d, kind)
     return EntropyVector(ps.n, d, kind, entries)
 
 

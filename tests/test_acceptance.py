@@ -169,12 +169,12 @@ def test_criterion_8_gaussian_ssa_and_ingleton_violation():
         g = gsn.GaussianState(4, np.zeros(8), a @ a.T + np.eye(8))
         vec = gsn.entropy_vector_gaussian(g)
         for q in qs:
-            min_slack = min(min_slack, ineq.evaluate_float(q, vec.value))
+            min_slack = min(min_slack, ineq.evaluate_float(q, vec.__getitem__))
     with open(FIXTURE) as fh:
         obj = json.load(fh)
     sigma = np.array(obj["Sigma"])
     val = gsn.ingleton_value(sigma)
-    margin = gsn.physicality_margin(gsn.GaussianState(4, np.zeros(8), sigma))
+    margin = gsn.physicality_margin(sigma)
     res = gsn.ingleton_search(seed=11, iterations=3000)  # well under the 1e6 budget
     ok = (
         min_slack > -1e-9

@@ -130,8 +130,20 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         lambda rec: '{"d": 2, ' + json.dumps(rec)[1:],
         lambda rec: rec["quantum"]["entries"][0].update(mask=True),
         lambda rec: rec["classical"]["entries"][0].update(size=True),
+        lambda rec: rec["classical"]["entries"][0].update(order=2 * rec["classical"]["entries"][0]["order"]),
+        lambda rec: next(e for e in rec["quantum"]["entries"] if e["mask"] == 3).update(order=3),
     ],
-    ids=["missing-entry", "missing-quantum", "order-0", "order-1e30", "repeated-d", "bool-mask", "bool-size"],
+    ids=[
+        "missing-entry",
+        "missing-quantum",
+        "order-0",
+        "order-1e30",
+        "repeated-d",
+        "bool-mask",
+        "bool-size",
+        "classical-breaks-identity",
+        "quantum-not-a-divisor",
+    ],
 )
 def test_verify_rejects_malformed_record(outdir, capsys, edit):
     corpus = outdir / "corpus.json"
@@ -268,11 +280,11 @@ def test_oracle_check_fails_cleanly_on_a_state_it_cannot_validate(outdir, monkey
 
     from entrokit import oracle
 
-    # the zero matrix in place of every projector: rho = 0/0 is not Hermitian
+    # the zero matrix in place of every projector: rho = P / tr P cannot be formed
     monkeypatch.setattr(oracle, "projector", lambda states: np.zeros((len(states), 9, 9), dtype=complex))
     out = outdir / "o.json"
     assert main(["oracle-check", "--d", "3", "--n", "2", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: state is not Hermitian\n"
+    assert capsys.readouterr().err == "error: projector has zero trace\n"
     assert not out.exists()
 
 

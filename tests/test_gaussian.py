@@ -84,6 +84,9 @@ def test_non_positive_definite_sigma_raises_value_error():
         lambda: gsn.subsystem_logdets(sigma, 4),
         lambda: gsn.ingleton_value(sigma),
         lambda: gsn.renyi2_quantum(gsn.GaussianState(4, np.zeros(8), sigma), 4),
+        # Sigma_1 is positive definite, but Sigma is not a state
+        lambda: gsn.renyi2_quantum(gsn.GaussianState(4, np.zeros(8), sigma), 1),
+        lambda: gsn.shannon_classical(gsn.GaussianState(4, np.zeros(8), sigma), 1),
     ):
         with pytest.raises(ValueError, match="not positive definite") as exc:
             fn()
@@ -93,17 +96,16 @@ def test_non_positive_definite_sigma_raises_value_error():
 def test_vacuum_is_borderline_physical_with_zero_entropy():
     for sv in (0.5, 1.0):
         g = gsn.GaussianState.vacuum(2, sv)
-        ok, margin = gsn.is_physical(g)
-        assert ok and abs(margin) < 1e-12
+        assert abs(gsn.physicality_margin(g.sigma, sv)) < 1e-12
+        assert gsn.entropy_vector_gaussian(g) == pytest.approx({1: 0.0, 2: 0.0, 3: 0.0}, abs=1e-12)
         for mask in (1, 2, 3):
             assert gsn.renyi2_quantum(g, mask) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unphysical_state_detected():
     g = gsn.GaussianState(1, np.zeros(2), 0.1 * np.eye(2))
-    ok, margin = gsn.is_physical(g)
-    assert not ok and margin < -0.1
-    with pytest.raises(ValueError):
+    assert gsn.physicality_margin(g.sigma) < -0.1
+    with pytest.raises(ValueError, match="unphysical"):
         gsn.entropy_vector_gaussian(g)
 
 
@@ -149,6 +151,10 @@ def test_entropy_validation():
         lambda: gsn.renyi_alpha_classical(g, 0, 2.0),
         lambda: gsn.renyi_alpha_classical(g, 1, 1.0),
         lambda: gsn.renyi_alpha_classical(g, 1, -1.0),
+        # mask 1 << n, out of range
+        lambda: gsn.renyi2_quantum(g, 2),
+        lambda: gsn.shannon_classical(g, 2),
+        lambda: gsn.renyi_alpha_classical(g, 2, 2.0),
     ):
         with pytest.raises(ValueError):
             fn()
@@ -158,9 +164,10 @@ def test_entropy_vector_gaussian():
     rng = np.random.default_rng(8)
     g = random_physical(rng, 3)
     vec = gsn.entropy_vector_gaussian(g)
-    assert set(vec.entries) == set(range(1, 8))
+    assert list(vec) == list(range(1, 8))
     for mask in range(1, 8):
-        assert vec.value(mask) == pytest.approx(gsn.renyi2_quantum(g, mask), abs=1e-12)
+        # one log-det path, so the two agree bit for bit
+        assert gsn.renyi2_quantum(g, mask) == vec[mask]
 
 
 def test_ssa_on_gaussian_renyi2_vectors():
@@ -170,7 +177,7 @@ def test_ssa_on_gaussian_renyi2_vectors():
         g = random_physical(rng, 3)
         vec = gsn.entropy_vector_gaussian(g)
         for q in qs:
-            assert evaluate_float(q, vec.value) > -1e-9
+            assert evaluate_float(q, vec.__getitem__) > -1e-9
 
 
 def test_mc_matches_closed_form_and_is_deterministic():
@@ -226,7 +233,7 @@ def test_ingleton_violation_fixture_regression():
         obj = json.load(fh)
     sigma = np.array(obj["Sigma"])
     val = gsn.ingleton_value(sigma)
-    margin = gsn.physicality_margin(gsn.GaussianState(4, np.zeros(8), sigma))
+    margin = gsn.physicality_margin(sigma)
     assert val < -1e-6
     assert margin > 1e-6
     # stored numbers describe the same certificate

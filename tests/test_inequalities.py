@@ -113,13 +113,6 @@ def test_instance_counts():
     assert all(q.n == 2 for q in mono)
 
 
-def test_builtin_dispatch():
-    assert ineq.builtin("ssa", 2, (1, 2)).coefficients() == {1: 1, 2: 1, 3: -1}
-    assert ineq.builtin("zhang_yeung", 4).coefficients() == ineq.zhang_yeung().coefficients()
-    with pytest.raises(ValueError):
-        ineq.builtin("bogus", 2, ())
-
-
 def shannon_vector(p):
     """Subset entropies (nats) of a joint distribution over 4 binary variables."""
     t = p.reshape(2, 2, 2, 2)

@@ -105,6 +105,14 @@ def test_reduced_state_against_index_contraction():
         oracle.reduced_state(rho, ps, 0)
 
 
+def test_reduced_state_rejects_a_mask_out_of_range():
+    ps = PhaseSpace(2, 2)
+    rho = np.eye(4, dtype=complex) / 4
+    for mask in (0b100, 0b101):
+        with pytest.raises(ValueError, match=f"particle subset {mask} is empty or out of range"):
+            oracle.reduced_state(rho, ps, mask)
+
+
 def test_spectral_entropy_on_known_spectra():
     evals = oracle.spectrum(np.diag([0.5, 0.5, 0.0, 0.0]))
     assert oracle.spectral_entropy(evals, "vonNeumann", 2) == pytest.approx(1.0)

@@ -15,6 +15,7 @@ from entrokit.stabilizer import (
     enumerate_isotropic,
     quantum_entropy,
     order_identity_check,
+    vector_from_orders,
 )
 from entrokit.zmod import Subgroup
 
@@ -137,7 +138,7 @@ def test_order_identity_check_counts_from_m_perp(monkeypatch):
     assert order_identity_check(st)
     assert seen == [st.M, st.perp]
     # as large as M_perp, but its image on particle 1 has 3 elements, not 9
-    st._perp = Subgroup.from_generators([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3, 4)
+    st.perp = Subgroup.from_generators([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3, 4)
     assert not order_identity_check(st)
 
 
@@ -216,12 +217,24 @@ def test_entropy_vector_structure():
     vq = entropy_vector(st, QUANTUM)
     vc = entropy_vector(st, CLASSICAL)
     assert set(vq.entries) == {1, 2, 3}
-    assert [row[0] for row in vq.rows()] == [1, 2, 3]
     for mask in (1, 2, 3):
         k = bin(mask).count("1")
         assert vc.entries[mask].value == pytest.approx(vq.entries[mask].value + k, abs=1e-12)
     with pytest.raises(ValueError):
         entropy_vector(st, "bogus")
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [{1: 0, 2: 1, 3: 1}, {1: 4, 2: 1, 3: 4}, {1: 1, 2: 1, 3: 3}],
+    ids=["order-0", "above-d^|I|", "not-a-divisor"],
+)
+def test_vector_from_orders_rejects_impossible_orders(orders):
+    # at d = 2 an isotropic |M_I| divides d^(2|I|) and is at most d^|I|
+    for kind in (QUANTUM, CLASSICAL):
+        with pytest.raises(ValueError, match="is not a divisor"):
+            vector_from_orders(PhaseSpace(2, 2), orders, kind)
+    assert vector_from_orders(PhaseSpace(2, 2), {1: 1, 2: 2, 3: 4}, CLASSICAL).orders == (4, 2, 4)
 
 
 def test_entropy_rejects_empty_subset():
