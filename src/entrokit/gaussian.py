@@ -121,11 +121,15 @@ def _renyi2_entries(g: GaussianState) -> dict[int, float]:
     return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in subsystem_logdets(g.sigma, g.n).items()}
 
 
+def _check_mask(g: GaussianState, mask: int) -> None:
+    if not 0 < mask < 1 << g.n:
+        raise ValueError(f"mode subset {mask} is empty or out of range")
+
+
 def _half_log_det(g: GaussianState, mask: int) -> float:
     """(1/2) log det Sigma_I, read from ``subsystem_logdets``, so a Sigma that is
     not positive definite raises on every mask."""
-    if not 0 < mask < 1 << g.n:
-        raise ValueError(f"mode subset {mask} is empty or out of range")
+    _check_mask(g, mask)
     return 0.5 * subsystem_logdets(g.sigma, g.n)[mask]
 
 
@@ -167,8 +171,7 @@ def mc_renyi2(
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError("need at least 10^4 samples")
-    if not mask:
-        raise ValueError("empty mode subset")
+    _check_mask(g, mask)
     sigma = g.submatrix(mask)
     dim = sigma.shape[0]
     chol = _cholesky(sigma)

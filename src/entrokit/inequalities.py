@@ -5,6 +5,10 @@ read as sum_I nu_I S_I >= 0.  On stabilizer entropy vectors the sign is
 decided by an exact big-integer comparison, so verification verdicts never
 depend on floating-point tolerances, even for composite d where log_d of a
 subgroup order is irrational.
+
+That arithmetic exists once, in ``_evaluate``: ``verify_batch`` runs it per
+distinct vector and ``evaluate_exact`` is its one-pair view.  No numpy is
+imported here, so ``verify`` does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -94,35 +98,62 @@ def is_balanced(q: Inequality) -> bool:
     return True
 
 
+def _evaluate(
+    ineqs: list[Inequality], vec: EntropyVector
+) -> tuple[list[tuple[str, int, int]], tuple[int, int]]:
+    """Every inequality on one stabilizer entropy vector, exactly, in one loop.
+
+    S_I = |I| - log_d(order) (quantum) or log_d(order) (classical), so sum
+    nu_I S_I is log_d(lhs / rhs) with lhs and rhs products of orders and a
+    d-power, and the inequality holds iff lhs >= rhs.  Returns the failures,
+    (name, lhs, rhs) per violated inequality in order, and ``low``, the first
+    (lhs, rhs) with the least ratio; the ``low`` of a single inequality is its
+    own (lhs, rhs).  A violation's ratio is below 1 and a holding pair's at
+    least 1, so once a violation is seen only violations can lower ``low``.
+    """
+    if vec.kind not in (QUANTUM, CLASSICAL):
+        raise ValueError(f"exact evaluation undefined for kind {vec.kind!r}")
+    if [q for q in ineqs if q.n != vec.n]:  # a list: cheaper than any() over a generator
+        raise ValueError("inequality arity does not match entropy vector")
+    quantum, d = vec.kind == QUANTUM, vec.d
+    o = (1,) + vec.orders  # order by mask
+    failures: list[tuple[str, int, int]] = []
+    low_lhs, low_rhs = 1, 0  # ratio +inf until the first pair
+    for q in ineqs:
+        # pos / neg: the orders raised to the positive / negated negative coefficients
+        pos = neg = 1
+        for mask, c in q.nu.items():
+            if c > 0:
+                pos *= o[mask] if c == 1 else o[mask] ** c
+            elif c < 0:
+                neg *= o[mask] if c == -1 else o[mask] ** -c
+        if quantum:
+            # sum nu_I (|I| - log_d order) = log_d(d^size_weight * neg / pos)
+            lhs, rhs, shift = neg, pos, q.size_weight
+            if shift > 0:
+                lhs *= d**shift
+            elif shift < 0:
+                rhs *= d**-shift
+        else:
+            lhs, rhs = pos, neg
+        if lhs < rhs:
+            failures.append((q.name, lhs, rhs))
+            if lhs * low_rhs < low_lhs * rhs:
+                low_lhs, low_rhs = lhs, rhs
+        elif not failures and lhs * low_rhs < low_lhs * rhs:
+            low_lhs, low_rhs = lhs, rhs
+    return failures, (low_lhs, low_rhs)
+
+
 def evaluate_exact(q: Inequality, h: EntropyVector):
     """Exact sign of sum nu_I S_I on a stabilizer entropy vector.
 
     Returns (nonnegative: bool, lhs: int, rhs: int) where the inequality holds
     iff lhs >= rhs; lhs/rhs are products of d-powers and subgroup orders, and
-    the value of the sum is log_d(lhs / rhs).
+    the value of the sum is log_d(lhs / rhs).  The one-pair view of the batch
+    kernel ``_evaluate``.
     """
-    if q.n != h.n:
-        raise ValueError("inequality arity does not match entropy vector")
-    # S_I = |I| - log_d(order) (quantum) or log_d(order) (classical); the sum
-    # is log_d of (d^shift * prod order^(sign * nu_I)), compared against 1.
-    if h.kind == QUANTUM:
-        sign, shift = -1, q.size_weight
-    elif h.kind == CLASSICAL:
-        sign, shift = 1, 0
-    else:
-        raise ValueError(f"exact evaluation undefined for kind {h.kind!r}")
-    lhs, rhs = 1, 1
-    entries = h.entries
-    for mask, c in q.nu.items():
-        e = sign * c
-        if e > 0:
-            lhs *= entries[mask].subgroup_order**e
-        elif e < 0:
-            rhs *= entries[mask].subgroup_order ** (-e)
-    if shift > 0:
-        lhs *= h.d**shift
-    elif shift < 0:
-        rhs *= h.d ** (-shift)
+    _, (lhs, rhs) = _evaluate([q], h)
     return lhs >= rhs, lhs, rhs
 
 
@@ -336,8 +367,9 @@ def verify_batch(
 
     Every vector must share one d and one kind: ratios taken in different
     bases are not comparable.  A vector is then fixed by its orders
-    (``EntropyVector.orders``), so ``evaluate_exact`` runs once per pair of
-    inequality and distinct vector, and each state keeps only its vector's id.
+    (``EntropyVector.orders``), so the kernel ``_evaluate`` runs once per
+    distinct vector, over every inequality in one loop, and each state keeps
+    only its vector's id.  No result outlives the call.
     The smallest value is tracked as the first exact pair (lhs, rhs) with the
     least ratio lhs/rhs in state, then inequality order, compared by
     cross-multiplying; a repeated vector repeats pairs already compared.
@@ -346,7 +378,8 @@ def verify_batch(
     ineqs = list(inequalities)
     report = VerificationReport(name)
     ids: dict[tuple[int, ...], int] = {}
-    d = kind = low = None
+    d = kind = None
+    low_lhs, low_rhs = 1, 0  # ratio +inf until the first pair
     for idx, vec in enumerate(vectors):
         if d is None:
             d, kind = vec.d, vec.kind
@@ -354,15 +387,11 @@ def verify_batch(
             raise ValueError(f"vector {idx} has (d, kind) = ({vec.d}, {vec.kind}), not ({d}, {kind})")
         vid = ids.setdefault(vec.orders, len(ids))
         if vid == len(report.failures):  # first occurrence
-            failures = []
-            for q in ineqs:
-                ok, lhs, rhs = evaluate_exact(q, vec)
-                if low is None or lhs * low[1] < low[0] * rhs:
-                    low = (lhs, rhs)
-                if not ok:
-                    failures.append((q.name, lhs, rhs))
+            failures, (lhs, rhs) = _evaluate(ineqs, vec)
+            if lhs * low_rhs < low_lhs * rhs:
+                low_lhs, low_rhs = lhs, rhs
             report.failures.append(failures)
         report.vector_ids.append(vid)
-    if low is not None:
-        report.min_slack = (math.log(low[0]) - math.log(low[1])) / math.log(d)
+    if low_rhs:
+        report.min_slack = (math.log(low_lhs) - math.log(low_rhs)) / math.log(d)
     return report

@@ -151,10 +151,17 @@ def projector(states: Sequence[StabilizerState]) -> np.ndarray:
     return P
 
 
+def _normalised(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tr P, P / tr P), stacked; ValueError if any projector has zero trace."""
+    trace = np.trace(P, axis1=-2, axis2=-1).real
+    if not trace.all():
+        raise ValueError("projector has zero trace")
+    return trace, P / trace[:, None, None]
+
+
 def dense_state(states: Sequence[StabilizerState]) -> np.ndarray:
     """rho(M) = P / tr P, stacked (B, D, D)."""
-    P = projector(states)
-    return P / np.trace(P, axis1=-2, axis2=-1).real[:, None, None]
+    return _normalised(projector(states))[1]
 
 
 def reduced_state(rho: np.ndarray, ps: PhaseSpace, mask: int) -> np.ndarray:
@@ -263,7 +270,7 @@ def cross_check(states: Sequence[StabilizerState]) -> dict[str, np.ndarray]:
     ps = _space(states)
     d = ps.d
     P = projector(states)
-    trace = np.trace(P, axis1=-2, axis2=-1).real
+    trace, rho = _normalised(P)
     orders = np.array([st.M.order for st in states])
     projector_err = np.max(
         [
@@ -273,9 +280,6 @@ def cross_check(states: Sequence[StabilizerState]) -> dict[str, np.ndarray]:
         ],
         axis=0,
     )
-    if not trace.all():
-        raise ValueError("projector has zero trace")
-    rho = P / trace[:, None, None]
     vectors = [entropy_vector(st, QUANTUM).entries for st in states]
     entropy_errs = []
     for mask in range(1, 1 << ps.n):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from . import zmod
 from .zmod import Subgroup
 
 
@@ -127,8 +128,11 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> dict[int, int]:
 
     With S's particles permuted by an order pi of ``chain_orders``, HNF rows
     2s onward span S ∩ V_I for I = pi(s..n-1), so |S ∩ V_I| is the product of
-    d / h_ii over them.  The identity order's HNF is ``S.basis`` itself.
+    d / h_ii over them.  The identity order's HNF is ``S.basis`` itself; the
+    others are read straight from ``zmod._hermite_rows``, no ``Subgroup`` built.
     """
+    if S.m != ps.m or S.d != ps.d:
+        raise ValueError("subgroup does not live in the given phase space")
     d, n = ps.d, ps.n
     gens = S.generators()
     out = {}
@@ -136,7 +140,7 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> dict[int, int]:
         basis = S.basis
         if pi != tuple(range(n)):
             cols = [c for x in pi for c in (2 * x, 2 * x + 1)]
-            basis = Subgroup.from_generators([[g[c] for c in cols] for g in gens], d, ps.m).basis
+            basis = zmod._hermite_rows([[g[c] for c in cols] for g in gens], ps.m, d)
         order, mask = 1, 0
         for s in range(n - 1, -1, -1):
             order *= (d // basis[2 * s][2 * s]) * (d // basis[2 * s + 1][2 * s + 1])

@@ -333,6 +333,23 @@ def test_cli_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_enumerate_and_verify_run_without_numpy(outdir):
+    # the import cost that keeps numpy out of inequalities: neither command loads it
+    src = os.path.dirname(os.path.dirname(entrokit.__file__))
+    code = (
+        "import sys\n"
+        "from entrokit.cli import main\n"
+        "codes = [main(['enumerate', '--d', '2', '--n', '2', '--out', 'c.json']),\n"
+        "         main(['verify', '--corpus', 'c.json', '--family', 'ssa', '--out', 'ssa.json']),\n"
+        "         main(['verify', '--corpus', 'c.json', '--family', 'monotonicity', '--out', 'mono.json'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 1] False"
+    assert read_lines(outdir / "ssa.json")[0]["passed"] and not read_lines(outdir / "mono.json")[0]["passed"]
+
+
 def test_seed_is_required(outdir):
     assert main(["gaussian", "mc", "--fixture", "vacuum"]) == 2
     assert main(["gaussian", "ingleton-search"]) == 2

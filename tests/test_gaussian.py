@@ -216,6 +216,9 @@ def test_mc_input_validation():
         gsn.mc_renyi2(g, 1, 100, seed=0)
     with pytest.raises(ValueError):
         gsn.mc_renyi2(g, 0, 10**4, seed=0)
+    # mask 1 << n, out of range: the same check as the closed-form entropies
+    with pytest.raises(ValueError, match="mode subset 4 is empty or out of range"):
+        gsn.mc_renyi2(gsn.GaussianState.vacuum(2), 4, 10**4, 0)
 
 
 def test_ingleton_value_matches_inequality_module():

@@ -8,7 +8,8 @@ import pytest
 
 from entrokit import inequalities as ineq
 from entrokit.phasespace import PhaseSpace
-from entrokit.stabilizer import CLASSICAL, QUANTUM, entropy_vector
+from entrokit.stabilizer import CLASSICAL, QUANTUM, StabilizerState, entropy_vector
+from entrokit.zmod import Subgroup
 
 A, B, C, D = 1, 2, 4, 8
 
@@ -237,12 +238,47 @@ def test_verify_batch_evaluates_each_distinct_vector_once(corpus, monkeypatch):
     vectors = [entropy_vector(st, QUANTUM) for st in corpus(2, 3)]
     qs = ineq.instances("monotonicity", 3)
     assert (len(vectors), len({vec.orders for vec in vectors}), len(qs)) == (514, 26, 30)
-    calls = []
-    evaluate = ineq.evaluate_exact
-    monkeypatch.setattr(ineq, "evaluate_exact", lambda q, h: calls.append(q) or evaluate(q, h))
+    pairs = []
+    kernel = ineq._evaluate
+    monkeypatch.setattr(ineq, "_evaluate", lambda qs, vec: pairs.append(len(qs)) or kernel(qs, vec))
     report = ineq.verify_batch(qs, vectors)
-    assert len(calls) == 26 * 30
+    assert pairs == [30] * 26
     assert report.states_checked == 514 and not report.passed
+
+
+def reference_pair(q, vec):
+    """(ok, lhs, rhs) of one pair, evaluated on its own from the bigints of
+    ``entries[mask].subgroup_order``: the per-pair evaluator the batch kernel replaced."""
+    if q.n != vec.n:
+        raise ValueError("inequality arity does not match entropy vector")
+    if vec.kind == QUANTUM:
+        sign, shift = -1, sum(c * bin(mask).count("1") for mask, c in q.nu.items())
+    else:
+        sign, shift = 1, 0
+    lhs, rhs = 1, 1
+    for mask, c in q.nu.items():
+        e = sign * c
+        if e > 0:
+            lhs *= vec.entries[mask].subgroup_order**e
+        elif e < 0:
+            rhs *= vec.entries[mask].subgroup_order ** (-e)
+    if shift > 0:
+        lhs *= vec.d**shift
+    elif shift < 0:
+        rhs *= vec.d ** (-shift)
+    return lhs >= rhs, lhs, rhs
+
+
+def reference_low(qs, vec):
+    """(failures, low) of one vector by ``reference_pair``: low is the first least ratio."""
+    failures, low = [], None
+    for q in qs:
+        ok, lhs, rhs = reference_pair(q, vec)
+        if low is None or lhs * low[1] < low[0] * rhs:
+            low = (lhs, rhs)
+        if not ok:
+            failures.append((q.name, lhs, rhs))
+    return failures, low
 
 
 def unmemoised(qs, vectors):
@@ -250,7 +286,7 @@ def unmemoised(qs, vectors):
     violations, low = [], None
     for k, vec in enumerate(vectors):
         for q in qs:
-            ok, lhs, rhs = ineq.evaluate_exact(q, vec)
+            ok, lhs, rhs = reference_pair(q, vec)
             if low is None or lhs * low[1] < low[0] * rhs:
                 low = (lhs, rhs)
             if not ok:
@@ -273,6 +309,85 @@ def test_verify_batch_matches_unmemoised_reference(d, n, kind, corpus):
     assert json.loads(report.to_json())["violations"] == [
         {"state": v.state_id, "inequality": v.inequality, "lhs": str(v.lhs), "rhs": str(v.rhs)} for v in violations
     ]
+
+
+def every_family(n):
+    qs = []
+    for family in ineq.FAMILIES:
+        try:
+            qs += ineq.instances(family, n)
+        except ValueError:
+            continue  # zhang_yeung is defined at n = 4 only
+    return qs
+
+
+@pytest.mark.parametrize("d,n,step", [(2, 4, 25), (6, 2, 1)])
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_kernel_matches_independent_reference(d, n, step, kind, corpus):
+    qs = every_family(n)
+    if n == 4:
+        assert {q.name.split("(")[0] for q in qs} == set(ineq.FAMILIES)
+    vectors = [entropy_vector(st, kind) for st in corpus(d, n)[::step]]
+    distinct = list({vec.orders: vec for vec in vectors}.values())
+    for vec in distinct:
+        failures, low = reference_low(qs, vec)
+        assert ineq._evaluate(qs, vec) == (failures, low)
+        assert [ineq.evaluate_exact(q, vec) for q in qs] == [reference_pair(q, vec) for q in qs]
+    violations, min_slack = unmemoised(qs, vectors)
+    report = ineq.verify_batch(qs, vectors)
+    assert report.min_slack == min_slack
+    assert report.violations == violations
+
+
+def maximally_entangled():
+    """The quantum vector of <XX, ZZ> at (2, 2): |M_1| = |M_2| = 1, |M_12| = 4, so S = (1, 1, 0)."""
+    ps = PhaseSpace(2, 2)
+    M = Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 4)
+    vec = entropy_vector(StabilizerState(ps, M), QUANTUM)
+    assert vec.orders == (1, 1, 4)
+    return vec
+
+
+def test_kernel_minimum_is_a_holding_pair():
+    vec = maximally_entangled()
+    # S_12 + S_1 = 1 as (8, 4) and S_1 = 1 as (2, 1): equal ratios, the first is kept
+    wide, narrow = ineq.Inequality(2, {3: 1, 1: 1}, "wide"), ineq.Inequality(2, {1: 1}, "narrow")
+    twice = ineq.Inequality(2, {1: 2}, "twice")
+    for qs, low in (([twice, wide, narrow], (8, 4)), ([twice, narrow, wide], (2, 1))):
+        assert ineq._evaluate(qs, vec) == reference_low(qs, vec) == ([], low)
+        assert ineq.verify_batch(qs, [vec]).min_slack == unmemoised(qs, [vec])[1]
+    # the two lows differ in the last bit of min_slack
+    assert ineq.verify_batch([wide], [vec]).min_slack != ineq.verify_batch([narrow], [vec]).min_slack
+
+
+def test_kernel_first_violation_follows_a_tight_pair():
+    vec = maximally_entangled()
+    tight = ineq.Inequality(2, {1: 1, 2: -1}, "tight")  # S_1 - S_2 = 0
+    mono = ineq.monotonicity(2, 1, 2)  # S_12 - S_1 = -1
+    worse = ineq.Inequality(2, {3: 2, 1: -2}, "worse")  # -2
+    held = ineq.Inequality(2, {1: 1}, "held")
+    qs = [held, tight, mono, held, worse, tight]
+    failures, low = ineq._evaluate(qs, vec)
+    assert (failures, low) == reference_low(qs, vec)
+    assert failures == [(mono.name, 2, 4), ("worse", 4, 16)] and low == (4, 16)
+    report = ineq.verify_batch(qs, [vec, vec])
+    violations, min_slack = unmemoised(qs, [vec, vec])
+    assert report.violations == violations and report.min_slack == min_slack == -2.0
+
+
+def test_kernel_keeps_repeated_coefficients_under_each_name():
+    vec = maximally_entangled()
+    nu = ineq.monotonicity(2, 1, 2).nu
+    qs = [
+        ineq.Inequality(2, dict(nu), "a"),
+        ineq.Inequality(2, {1: 1}, "held"),
+        ineq.Inequality(2, dict(nu), "b"),
+        ineq.Inequality(2, {1: 1}, "held again"),
+    ]
+    failures, low = ineq._evaluate(qs, vec)
+    assert (failures, low) == reference_low(qs, vec)
+    assert failures == [("a", 2, 4), ("b", 2, 4)]
+    assert ineq.verify_batch(qs, [vec]).violations == unmemoised(qs, [vec])[0]
 
 
 def test_mutual_information_helpers():

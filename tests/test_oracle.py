@@ -86,6 +86,14 @@ def test_dense_state_has_unit_trace():
     assert evals.min() > -1e-12
 
 
+def test_dense_state_rejects_a_zero_projector(monkeypatch, corpus):
+    # the check cross_check makes, not a NaN state under a RuntimeWarning
+    states = corpus(2, 2)[:3]
+    monkeypatch.setattr(oracle, "projector", lambda states: np.zeros((len(states), 4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="projector has zero trace"):
+        oracle.dense_state(states)
+
+
 def test_reduced_state_against_index_contraction():
     rng = np.random.default_rng(3)
     ps = PhaseSpace(3, 2)

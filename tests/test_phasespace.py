@@ -12,6 +12,7 @@ from entrokit.phasespace import (
     is_isotropic,
     particles,
     subset_size,
+    subsystem_orders,
     symplectic_complement,
     symplectic_form,
 )
@@ -134,6 +135,13 @@ def test_complement_rejects_a_foreign_subgroup():
     for ps in (PhaseSpace(2, 3), PhaseSpace(1, 2)):
         with pytest.raises(ValueError):
             symplectic_complement(ps, M)
+
+
+def test_subsystem_orders_rejects_a_foreign_subgroup():
+    M = Subgroup.from_generators([[1, 1, 0, 0]], 3, 4)
+    for ps in (PhaseSpace(2, 2), PhaseSpace(1, 3), PhaseSpace(3, 3)):
+        with pytest.raises(ValueError, match="does not live in the given phase space"):
+            subsystem_orders(ps, M)
 
 
 def test_is_isotropic():
