@@ -6,6 +6,14 @@ scale sigma_vac fixes the vacuum: sigma_vac = 1/2 (default) is the unique
 choice consistent with the Wigner normalization, and the quantum Renyi-2
 entropy is S_2(rho_I) = (1/2) log det(Sigma_I / sigma_vac).  All entropies
 here are in nats.
+
+Every log det Sigma_I comes from one stacked Cholesky over the chain orders
+(``_chain_logdets``).  ``subsystem_logdets`` reads it for every mask, and the
+per-mask entropies read that.  The Ingleton search scores each candidate with
+``ingleton_value``, a fused kernel on the same log dets that reads the Ingleton
+terms from a table built once per process.  One Sigma check (``_checked_sigma``)
+serves ``GaussianState``, ``ingleton_value`` and the search's start.  The cached
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .inequalities import evaluate_float, ingleton
+from .inequalities import ingleton
 from .phasespace import chain_orders, particles, subset_size
 
 PHYSICALITY_TOL = 1e-9
@@ -26,13 +34,35 @@ SYMMETRY_TOL = 1e-10
 SEARCH_MARGIN = 1e-4  # every search candidate is projected to at least this physicality margin
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can corrupt the cache."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def symplectic_matrix(n: int) -> np.ndarray:
-    """Direct sum of [[0, 1], [-1, 0]] blocks, matching the discrete layout."""
+    """Direct sum of [[0, 1], [-1, 0]] blocks, matching the discrete layout (read-only)."""
     omega = np.zeros((2 * n, 2 * n))
     for i in range(n):
         omega[2 * i, 2 * i + 1] = 1.0
         omega[2 * i + 1, 2 * i] = -1.0
-    return omega
+    return _frozen(omega)
+
+
+def _checked_sigma(sigma: np.ndarray, n: int, sigma_vac: float) -> np.ndarray:
+    """Sigma as a float array, checked: 2n x 2n, finite, symmetric within
+    SYMMETRY_TOL, and a vacuum scale sigma_vac of 1/2 or 1."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (2 * n, 2 * n):
+        raise ValueError(f"sigma must be {2 * n} x {2 * n}")
+    if not np.isfinite(sigma).all():
+        raise ValueError("mu and sigma must be finite")
+    if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
+        raise ValueError("covariance matrix is not symmetric")
+    if sigma_vac not in (0.5, 1.0):
+        raise ValueError("sigma_vac must be 1/2 or 1")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -44,19 +74,12 @@ class GaussianState:
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
         if mu.shape != (2 * self.n,):
             raise ValueError(f"mu must have shape ({2 * self.n},)")
-        if sigma.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(f"sigma must be {2 * self.n} x {2 * self.n}")
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        if not np.isfinite(mu).all():
             raise ValueError("mu and sigma must be finite")
-        if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric")
-        if self.sigma_vac not in (0.5, 1.0):
-            raise ValueError("sigma_vac must be 1/2 or 1")
+        object.__setattr__(self, "sigma", _checked_sigma(self.sigma, self.n, self.sigma_vac))
 
     @classmethod
     def vacuum(cls, n: int, sigma_vac: float = 0.5) -> "GaussianState":
@@ -69,9 +92,18 @@ class GaussianState:
         return self.sigma[np.ix_(idx, idx)]
 
 
+@lru_cache(maxsize=None)
+def _vacuum_term(n: int, sigma_vac: float) -> np.ndarray:
+    """i * sigma_vac * Omega for n modes (read-only)."""
+    return _frozen(1j * sigma_vac * symplectic_matrix(n))
+
+
 def physicality_margin(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
     """Minimum eigenvalue of Sigma + i * sigma_vac * Omega."""
-    return float(np.linalg.eigvalsh(sigma + 1j * sigma_vac * symplectic_matrix(len(sigma) // 2)).min())
+    try:
+        return float(np.linalg.eigvalsh(sigma + _vacuum_term(len(sigma) // 2, sigma_vac)).min())
+    except np.linalg.LinAlgError:
+        raise ValueError("physicality margin: eigenvalues did not converge") from None
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
@@ -83,10 +115,11 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _chain_gather(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
-    """Row and column gathers of Sigma for each order of ``chain_orders(n)``,
-    every nonempty mask in increasing order, and the flat (order, prefix length)
-    position of each mask's first prefix."""
+def _chain_gather(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Flat positions in Sigma of the mode-permuted Sigma for each order of
+    ``chain_orders(n)``, every nonempty mask in increasing order, and the flat
+    (order, prefix length) position of each mask's first prefix.  The arrays
+    are read-only."""
     orders = chain_orders(n)
     cols = np.array([[c for x in pi for c in (2 * x, 2 * x + 1)] for pi in orders])
     first: dict[int, int] = {}
@@ -96,24 +129,34 @@ def _chain_gather(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.n
             mask |= 1 << x
             first.setdefault(mask, o * n + k)
     masks = tuple(sorted(first))
-    return cols[:, :, None], cols[:, None, :], masks, np.array([first[m] for m in masks])
+    gather = cols[:, :, None] * (2 * n) + cols[:, None, :]
+    return _frozen(gather), masks, _frozen(np.array([first[m] for m in masks]))
+
+
+def _chain_logdets(sigma: np.ndarray, n: int) -> np.ndarray:
+    """log det Sigma_I for every prefix set I of every order of ``chain_orders(n)``,
+    flat in (order, prefix length) order, from one stacked Cholesky.
+
+    With Sigma's mode pairs permuted by an order pi, Cholesky rows 0 .. 2k-1
+    factor Sigma_I for the prefix set I = pi(0..k-1), so log det Sigma_I is the
+    sum of 2 log L_ii over them.
+    """
+    gather, _, _ = _chain_gather(n)
+    diag = np.diagonal(_cholesky(sigma.take(gather)), axis1=1, axis2=2)
+    return np.cumsum(2 * np.log(diag), axis=1)[:, 1::2].ravel()
 
 
 def subsystem_logdets(sigma: np.ndarray, n: int) -> dict[int, float]:
-    """mask -> log det Sigma_mask for every nonempty mask, from one stacked Cholesky.
+    """mask -> log det Sigma_mask for every nonempty mask, read from ``_chain_logdets``.
 
-    With Sigma's mode pairs permuted by an order pi of ``chain_orders``, Cholesky
-    rows 0 .. 2k-1 factor Sigma_I for the prefix set I = pi(0..k-1), so
-    log det Sigma_I is the sum of 2 log L_ii over them.  The prefix sets are the
-    complements of the suffix sets, which cover every nonempty subset.
+    The prefix sets of the chain orders are the complements of the suffix
+    sets, which cover every nonempty subset.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (2 * n, 2 * n):
         raise ValueError(f"sigma must be {2 * n} x {2 * n}")
-    rows, cols, masks, at = _chain_gather(n)
-    diag = np.diagonal(_cholesky(sigma[rows, cols]), axis1=1, axis2=2)
-    cum = np.cumsum(2 * np.log(diag), axis=1)[:, 1::2]
-    return dict(zip(masks, cum.ravel()[at].tolist()))
+    _, masks, at = _chain_gather(n)
+    return dict(zip(masks, _chain_logdets(sigma, n)[at].tolist()))
 
 
 def _renyi2_entries(g: GaussianState) -> dict[int, float]:
@@ -222,10 +265,25 @@ class SearchResult:
         )
 
 
+@lru_cache(maxsize=None)
+def _ingleton_terms() -> tuple[tuple[int, int, int], ...]:
+    """(nu_I, position of log det Sigma_I in ``_chain_logdets(sigma, 4)``, |I|)
+    for each term of ingleton(4, 1, 2, 4, 8), in ``nu`` order."""
+    _, masks, at = _chain_gather(4)
+    where = dict(zip(masks, at.tolist()))
+    return tuple((c, where[mask], subset_size(mask)) for mask, c in ingleton(4, 1, 2, 4, 8).nu.items())
+
+
 def ingleton_value(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
-    """The Ingleton combination on the Renyi-2 entropy vector of a 4-mode Sigma."""
-    entries = _renyi2_entries(GaussianState(4, np.zeros(8), sigma, sigma_vac))
-    return evaluate_float(ingleton(4, 1, 2, 4, 8), entries.__getitem__)
+    """The Ingleton combination on the Renyi-2 entropy vector of a 4-mode Sigma.
+
+    One checked Sigma and one stacked Cholesky per call; the sum is
+    ``evaluate_float`` of ``ingleton(4, 1, 2, 4, 8)`` on the entries
+    S_2(I) = (1/2) log det Sigma_I - |I| log sigma_vac, term by term in ``nu`` order.
+    """
+    logdets = _chain_logdets(_checked_sigma(sigma, 4, sigma_vac), 4).tolist()
+    shift = math.log(sigma_vac)
+    return sum(c * (0.5 * logdets[at] - size * shift) for c, at, size in _ingleton_terms())
 
 
 def _project_physical(sigma: np.ndarray) -> np.ndarray:
@@ -270,7 +328,7 @@ def ingleton_search(
             cand = a @ a.T
         return _project_physical(cand)
 
-    best_sigma = _project_physical(np.asarray(start, dtype=float) if start is not None else sample())
+    best_sigma = _project_physical(_checked_sigma(start, 4, 0.5) if start is not None else sample())
     best_val = ingleton_value(best_sigma)
     for it in range(iterations):
         if strategy != "local-perturbation" and (best_val >= 0 or it % 4 == 0):

@@ -1,7 +1,7 @@
 import pytest
 
 from entrokit.phasespace import PhaseSpace
-from entrokit.stabilizer import enumerate_isotropic
+from entrokit.stabilizer import QUANTUM, enumerate_isotropic
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,26 @@ def corpus():
         return cache[(d, n)]
 
     return get
+
+
+def reference_pair(q, vec):
+    """(ok, lhs, rhs) of one pair, evaluated on its own from the bigints of
+    ``entries[mask].subgroup_order``: the per-pair evaluator the batch kernel replaced."""
+    if q.n != vec.n:
+        raise ValueError("inequality arity does not match entropy vector")
+    if vec.kind == QUANTUM:
+        sign, shift = -1, sum(c * bin(mask).count("1") for mask, c in q.nu.items())
+    else:
+        sign, shift = 1, 0
+    lhs, rhs = 1, 1
+    for mask, c in q.nu.items():
+        e = sign * c
+        if e > 0:
+            lhs *= vec.entries[mask].subgroup_order**e
+        elif e < 0:
+            rhs *= vec.entries[mask].subgroup_order ** (-e)
+    if shift > 0:
+        lhs *= vec.d**shift
+    elif shift < 0:
+        rhs *= vec.d ** (-shift)
+    return lhs >= rhs, lhs, rhs

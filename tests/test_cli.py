@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import reference_pair
 
 import entrokit
 from entrokit.cli import main
@@ -103,7 +104,7 @@ def test_verify_reports_every_state_of_a_shared_vector(outdir):
         {"state": k, "inequality": q.name, "lhs": str(lhs), "rhs": str(rhs)}
         for k, vec in enumerate(vectors)
         for q in ineq.instances("monotonicity", 2)
-        for ok, lhs, rhs in [ineq.evaluate_exact(q, vec)]
+        for ok, lhs, rhs in [reference_pair(q, vec)]
         if not ok
     ]
     assert report["violations"] == expected

@@ -228,7 +228,80 @@ def test_ingleton_value_matches_inequality_module():
     g = gsn.GaussianState(4, np.zeros(8), sigma)
     q = ingleton(4, 1, 2, 4, 8)
     direct = evaluate_float(q, lambda m: gsn.renyi2_quantum(g, m))
-    assert gsn.ingleton_value(sigma) == pytest.approx(direct, abs=1e-12)
+    assert gsn.ingleton_value(sigma) == direct
+
+
+def parent_ingleton_value(sigma, sigma_vac=0.5):
+    """The unfused evaluation the per-candidate kernel replaced: a GaussianState,
+    every Renyi-2 entry, and ``evaluate_float`` on a fresh Ingleton inequality."""
+    entries = gsn._renyi2_entries(gsn.GaussianState(4, np.zeros(8), sigma, sigma_vac))
+    return evaluate_float(ingleton(4, 1, 2, 4, 8), entries.__getitem__)
+
+
+def test_ingleton_value_is_bit_identical_to_unfused_path():
+    with open(FIXTURE) as fh:
+        fixture = np.array(json.load(fh)["Sigma"])
+    assert gsn.ingleton_value(fixture) == parent_ingleton_value(fixture)
+    rng = np.random.default_rng(15)
+    for sigma_vac in (0.5, 1.0):
+        for _ in range(1000):
+            a = rng.standard_normal((8, 8 + rng.integers(0, 5)))
+            sigma = a @ a.T + 2 * sigma_vac * np.eye(8)
+            assert gsn.physicality_margin(sigma, sigma_vac) > 0
+            assert gsn.ingleton_value(sigma, sigma_vac) == parent_ingleton_value(sigma, sigma_vac)
+
+
+@pytest.mark.parametrize("strategy", gsn.STRATEGIES)
+def test_ingleton_search_trajectory_matches_unfused_path(monkeypatch, strategy):
+    res = gsn.ingleton_search(seed=5, iterations=400, strategy=strategy)
+    monkeypatch.setattr(gsn, "ingleton_value", parent_ingleton_value)
+    ref = gsn.ingleton_search(seed=5, iterations=400, strategy=strategy)
+    assert np.array_equal(res.sigma, ref.sigma)
+    assert res.value == ref.value
+    assert res.to_json() == ref.to_json()
+
+
+def _sigma_with(*edits):
+    sigma = np.eye(8)
+    for (i, j), value in edits:
+        sigma[i, j] = value
+    return sigma
+
+
+@pytest.mark.parametrize(
+    "sigma,sigma_vac,match",
+    [
+        (np.eye(6), 0.5, "sigma must be 8 x 8"),
+        (_sigma_with(((2, 3), np.inf), ((3, 2), np.inf)), 0.5, "must be finite"),
+        (_sigma_with(((4, 4), -np.inf)), 0.5, "must be finite"),
+        (np.full((8, 8), np.nan), 0.5, "must be finite"),
+        (_sigma_with(((0, 1), 1e-9)), 0.5, "not symmetric"),
+        (np.eye(8), 0.7, "sigma_vac must be 1/2 or 1"),
+        (_sigma_with(((5, 5), -1.0)), 0.5, "not positive definite"),
+    ],
+)
+def test_ingleton_value_rejects_bad_sigma(sigma, sigma_vac, match):
+    with pytest.raises(ValueError, match=match) as exc:
+        gsn.ingleton_value(sigma, sigma_vac)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sigma_raises_value_error_in_margin_and_search(bad):
+    for sigma in (np.full((8, 8), bad), _sigma_with(((1, 1), bad))):
+        with pytest.raises(ValueError, match="did not converge") as exc:
+            gsn.physicality_margin(sigma)
+        assert type(exc.value) is ValueError
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            gsn.ingleton_search(0, 10, "local-perturbation", start=sigma)
+        assert type(exc.value) is ValueError
+
+
+def test_shared_caches_are_read_only():
+    gather, _, at = gsn._chain_gather(4)
+    for cached in (gsn.symplectic_matrix(4), gsn._vacuum_term(4, 0.5), gather, at):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
 
 
 def test_ingleton_violation_fixture_regression():

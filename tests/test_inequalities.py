@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_pair
 
 from entrokit import inequalities as ineq
 from entrokit.phasespace import PhaseSpace
@@ -244,29 +245,6 @@ def test_verify_batch_evaluates_each_distinct_vector_once(corpus, monkeypatch):
     report = ineq.verify_batch(qs, vectors)
     assert pairs == [30] * 26
     assert report.states_checked == 514 and not report.passed
-
-
-def reference_pair(q, vec):
-    """(ok, lhs, rhs) of one pair, evaluated on its own from the bigints of
-    ``entries[mask].subgroup_order``: the per-pair evaluator the batch kernel replaced."""
-    if q.n != vec.n:
-        raise ValueError("inequality arity does not match entropy vector")
-    if vec.kind == QUANTUM:
-        sign, shift = -1, sum(c * bin(mask).count("1") for mask, c in q.nu.items())
-    else:
-        sign, shift = 1, 0
-    lhs, rhs = 1, 1
-    for mask, c in q.nu.items():
-        e = sign * c
-        if e > 0:
-            lhs *= vec.entries[mask].subgroup_order**e
-        elif e < 0:
-            rhs *= vec.entries[mask].subgroup_order ** (-e)
-    if shift > 0:
-        lhs *= vec.d**shift
-    elif shift < 0:
-        rhs *= vec.d ** (-shift)
-    return lhs >= rhs, lhs, rhs
 
 
 def reference_low(qs, vec):
