@@ -12,8 +12,8 @@ Every log det Sigma_I comes from one stacked Cholesky over the chain orders
 per-mask entropies read that.  The Ingleton search scores each candidate with
 ``ingleton_value``, a fused kernel on the same log dets that reads the Ingleton
 terms from a table built once per process.  One Sigma check (``_checked_sigma``)
-serves ``GaussianState``, ``ingleton_value`` and the search's start.  The cached
-arrays are read-only.
+serves ``GaussianState``, ``ingleton_value``, ``subsystem_logdets`` and the
+search's start.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def symplectic_matrix(n: int) -> np.ndarray:
     return _frozen(omega)
 
 
-def _checked_sigma(sigma: np.ndarray, n: int, sigma_vac: float) -> np.ndarray:
+def _checked_sigma(sigma: np.ndarray, n: int, sigma_vac: float = 0.5) -> np.ndarray:
     """Sigma as a float array, checked: 2n x 2n, finite, symmetric within
     SYMMETRY_TOL, and a vacuum scale sigma_vac of 1/2 or 1."""
     sigma = np.asarray(sigma, dtype=float)
@@ -99,9 +99,12 @@ def _vacuum_term(n: int, sigma_vac: float) -> np.ndarray:
 
 
 def physicality_margin(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
-    """Minimum eigenvalue of Sigma + i * sigma_vac * Omega."""
+    """Minimum eigenvalue of Sigma + i * sigma_vac * Omega; Sigma must be 2n x 2n, n >= 1."""
+    n = len(sigma) // 2
+    if n < 1 or np.shape(sigma) != (2 * n, 2 * n):
+        raise ValueError(f"sigma must be 2n x 2n with n >= 1, got shape {np.shape(sigma)}")
     try:
-        return float(np.linalg.eigvalsh(sigma + _vacuum_term(len(sigma) // 2, sigma_vac)).min())
+        return float(np.linalg.eigvalsh(sigma + _vacuum_term(n, sigma_vac)).min())
     except np.linalg.LinAlgError:
         raise ValueError("physicality margin: eigenvalues did not converge") from None
 
@@ -150,11 +153,10 @@ def subsystem_logdets(sigma: np.ndarray, n: int) -> dict[int, float]:
     """mask -> log det Sigma_mask for every nonempty mask, read from ``_chain_logdets``.
 
     The prefix sets of the chain orders are the complements of the suffix
-    sets, which cover every nonempty subset.
+    sets, which cover every nonempty subset.  Sigma gets the shared check,
+    ``_checked_sigma``.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (2 * n, 2 * n):
-        raise ValueError(f"sigma must be {2 * n} x {2 * n}")
+    sigma = _checked_sigma(sigma, n)
     _, masks, at = _chain_gather(n)
     return dict(zip(masks, _chain_logdets(sigma, n)[at].tolist()))
 

@@ -6,20 +6,30 @@ decided by an exact big-integer comparison, so verification verdicts never
 depend on floating-point tolerances, even for composite d where log_d of a
 subgroup order is irrational.
 
-That arithmetic exists once, in ``_evaluate``: ``verify_batch`` runs it per
-distinct vector and ``evaluate_exact`` is its one-pair view.  No numpy is
-imported here, so ``verify`` does not pay for loading it.
+That arithmetic exists once, in ``_kernel``, which evaluates every
+inequality of a list on one vector at once.  The list is packed once into a
+lane table (``_Lanes``): one big integer per subset mask holds every
+inequality's coefficient of that mask in a fixed-width lane.  Per prime p | d,
+one multiply-accumulate of those columns by the vector's p-exponents gives the
+p-power of every lhs and rhs; lanes whose sign decides the verdict are read
+from their top bits, and only failing and least lanes become (lhs, rhs)
+integers.  ``verify_batch`` runs the kernel once per distinct vector;
+``_evaluate`` and ``evaluate_exact`` are its one-vector and one-pair views.
+No numpy is imported here, so ``verify`` does not pay for loading it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import permutations
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import compress, permutations, product, repeat
+from operator import is_, lt, mul
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .phasespace import subset_size
 from .stabilizer import CLASSICAL, QUANTUM, EntropyVector
@@ -41,10 +51,14 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 @dataclass(frozen=True)
 class Inequality:
     n: int
-    nu: dict[int, int] = field(compare=False)
+    nu: Mapping[int, int] = field(compare=False)
     name: str = ""
 
     def __post_init__(self) -> None:
+        # read-only, so that a lane table built from it cannot go stale
+        object.__setattr__(self, "nu", MappingProxyType(dict(self.nu)))
+        if not all(isinstance(c, int) for c in self.nu.values()):
+            raise ValueError("coefficients must be integers")
         if not any(self.nu.values()):
             raise ValueError("inequality must have a nonzero coefficient")
         for mask in self.nu:
@@ -98,51 +112,212 @@ def is_balanced(q: Inequality) -> bool:
     return True
 
 
-def _evaluate(
-    ineqs: list[Inequality], vec: EntropyVector
-) -> tuple[list[tuple[str, int, int]], tuple[int, int]]:
-    """Every inequality on one stabilizer entropy vector, exactly, in one loop.
+class _Lanes:
+    """The packed coefficient table of one inequality list at one d.
+
+    Inequality j owns lane j, w bytes wide, of every packed integer, so one
+    big-integer multiply-accumulate over the masks evaluates every inequality
+    at once.  Write d = prod p^k and an order as prod p^e_I.  Then lhs and rhs
+    of inequality j (see ``_kernel``) are prod p^a and prod p^b, where per prime
+        quantum:   a = sum_{c<0} -c e_I + k max(s, 0),  b = sum_{c>0} c e_I + k max(-s, 0)
+        classical: a = sum_{c>0} c e_I,                 b = sum_{c<0} -c e_I
+    with c = nu_I and s = ``size_weight``.  ``cols[I]`` packs max(c, 0) in its
+    low half and max(-c, 0) in its high half, one lane set each; ``shp`` and
+    ``shn`` pack max(s, 0) and max(-s, 0).
+
+    Every order divides d^{2|I|}, so e_I <= 2 |I| k and a, b <= bound =
+    max k * max_j (2 sum_I |c| |I| + |s|).  The lane width is the least power
+    of two with bound < 2^(8w-1), so a - b + 2^(8w-1) (``top`` packs
+    2^(8w-1)) stays inside its lane.  ``factor`` is ``_divisor_exponents(d,
+    n)``.  The table holds its inequalities, and their ``nu`` are read-only,
+    so it cannot go stale.
+    """
+
+    def __init__(self, ineqs: tuple[Inequality, ...], d: int):
+        self.ineqs, self.count = ineqs, len(ineqs)
+        self.names = [q.name for q in ineqs]
+        self.arities = {q.n for q in ineqs}
+        self.primes = _prime_powers(d)
+        n = max(self.arities, default=0)
+        self.sizes = [subset_size(mask) for mask in range(1, 1 << n)]
+        bound = max(k for _, k in self.primes) * max(
+            (2 * sum(abs(c) * subset_size(m) for m, c in q.nu.items()) + abs(q.size_weight) for q in ineqs),
+            default=0,
+        )
+        self.w = 1
+        while bound >= 1 << (8 * self.w - 1):
+            self.w *= 2
+        self.split = 8 * self.w * self.count  # bit length of one lane set
+        # lane j of column I: max(c, 0) at flat[2 (I - 1) count + j], max(-c, 0) one lane set later
+        flat = [0] * (2 * len(self.sizes) * self.count)
+        for j, q in enumerate(ineqs):
+            for mask, c in q.nu.items():
+                flat[(2 * (mask - 1) + (c < 0)) * self.count + j] = abs(c)
+        buf, step = self.lanes_bytes(flat), 2 * self.w * self.count
+        self.cols = [int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step)]
+        self.shp = self.pack([max(q.size_weight, 0) for q in ineqs])
+        self.shn = self.pack([max(-q.size_weight, 0) for q in ineqs])
+        self.top = self.pack([1 << (8 * self.w - 1)] * self.count)
+        self.factor = _divisor_exponents(d, n)
+
+    def lanes_bytes(self, lanes: list[int]) -> bytes:
+        """lanes[j] at bytes j w .. (j + 1) w - 1, little-endian; each lane is in [0, 2^(8w))."""
+        code = _TYPECODES.get(self.w)
+        if code:
+            return array(code, lanes).tobytes()
+        return b"".join(x.to_bytes(self.w, "little") for x in lanes)
+
+    def pack(self, lanes: list[int]) -> int:
+        """One integer holding lanes[j] in lane j."""
+        return int.from_bytes(self.lanes_bytes(lanes), "little")
+
+    def unpack(self, x: int):
+        """The lanes of a packed integer, as a sequence of ints."""
+        code, buf = _TYPECODES.get(self.w), x.to_bytes(self.count * self.w, "little")
+        if code:
+            lanes = array(code)
+            lanes.frombytes(buf)
+            return lanes
+        return [int.from_bytes(buf[i : i + self.w], "little") for i in range(0, len(buf), self.w)]
+
+    def flagged(self, x: int) -> list[int]:
+        """The lanes whose top bit is set in x, in order; x has no other bits set."""
+        flags = (x >> (8 * self.w - 1)).to_bytes(self.count * self.w, "little")
+        return list(compress(range(self.count), flags[:: self.w]))
+
+
+# array typecode per lane width in bytes; the array path needs a little-endian host
+_TYPECODES = {array(code).itemsize: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _prime_powers(d: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing d, p increasing."""
+    out, p = [], 2
+    while d > 1:
+        if p * p > d:
+            p = d
+        k = 0
+        while d % p == 0:
+            d, k = d // p, k + 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _divisor_exponents(d: int, n: int) -> list[dict[int, tuple[int, ...]]]:
+    """For each size 0 .. n, every divisor of d^{2 size}, mapped to its exponent
+    tuple over the primes of d, in ``_prime_powers`` order."""
+    primes = _prime_powers(d)
+    return [
+        {
+            math.prod(p**e for (p, _), e in zip(primes, es)): es
+            for es in product(*(range(2 * size * k + 1) for _, k in primes))
+        }
+        for size in range(n + 1)
+    ]
+
+
+class _TableCache:
+    """Lane tables found again by the identity of every member of their list.
+
+    Keyed by (d, count, id of the first member); a cached table pins its
+    members, so no other object can take that id while the table is cached.
+    The oldest tables go first once those besides the newest hold more than
+    ``budget`` lanes.
+    """
+
+    def __init__(self, budget: int):
+        self.tables: dict[tuple[int, int, int], _Lanes] = {}
+        self.budget, self.lanes = budget, 0
+
+    def get(self, ineqs: list[Inequality], d: int) -> _Lanes:
+        key = (d, len(ineqs), id(ineqs[0]) if ineqs else 0)
+        table = self.tables.get(key)
+        if table is None or not all(map(is_, table.ineqs, ineqs)):
+            if table is not None:
+                self.lanes -= self.tables.pop(key).count
+            while self.tables and self.lanes > self.budget:
+                self.lanes -= self.tables.pop(next(iter(self.tables))).count
+            table = self.tables[key] = _Lanes(tuple(ineqs), d)
+            self.lanes += table.count
+        return table
+
+
+_TABLES = _TableCache(1 << 16)
+
+
+def _kernel(t: _Lanes, vec: EntropyVector) -> tuple[list[tuple[str, int, int]], tuple[int, int]]:
+    """Every inequality of a lane table on one stabilizer entropy vector, exactly.
 
     S_I = |I| - log_d(order) (quantum) or log_d(order) (classical), so sum
     nu_I S_I is log_d(lhs / rhs) with lhs and rhs products of orders and a
-    d-power, and the inequality holds iff lhs >= rhs.  Returns the failures,
-    (name, lhs, rhs) per violated inequality in order, and ``low``, the first
-    (lhs, rhs) with the least ratio; the ``low`` of a single inequality is its
-    own (lhs, rhs).  A violation's ratio is below 1 and a holding pair's at
-    least 1, so once a violation is seen only violations can lower ``low``.
+    d-power, and the inequality holds iff lhs >= rhs.  Per prime p | d, one
+    multiply-accumulate gives the lanes a and b (see ``_Lanes``) of every
+    inequality at once.  A lane with a - b >= 0 for every p holds.  The others
+    are turned back into (lhs, rhs) = (prod p^a, prod p^b) and compared, which
+    for a prime power always finds lhs < rhs.  Returns the failures, (name,
+    lhs, rhs) per violated inequality in order, and ``low``, the first (lhs,
+    rhs) with the least ratio.  For a prime power that is the first least
+    a - b.  Otherwise equal (a - b per prime) is an equal ratio and distinct
+    ones are distinct ratios, so the first lane of each distinct (a - b per
+    prime) is compared exactly.
     """
     if vec.kind not in (QUANTUM, CLASSICAL):
         raise ValueError(f"exact evaluation undefined for kind {vec.kind!r}")
-    if [q for q in ineqs if q.n != vec.n]:  # a list: cheaper than any() over a generator
+    if t.arities - {vec.n}:
         raise ValueError("inequality arity does not match entropy vector")
-    quantum, d = vec.kind == QUANTUM, vec.d
-    o = (1,) + vec.orders  # order by mask
-    failures: list[tuple[str, int, int]] = []
-    low_lhs, low_rhs = 1, 0  # ratio +inf until the first pair
-    for q in ineqs:
-        # pos / neg: the orders raised to the positive / negated negative coefficients
-        pos = neg = 1
-        for mask, c in q.nu.items():
-            if c > 0:
-                pos *= o[mask] if c == 1 else o[mask] ** c
-            elif c < 0:
-                neg *= o[mask] if c == -1 else o[mask] ** -c
+    if not t.count:
+        return [], (1, 0)  # ratio +inf: no pair
+    try:
+        exps = [t.factor[size][order] for size, order in zip(t.sizes, vec.orders)]
+    except KeyError:
+        raise ValueError(f"an order of {vec.orders} does not divide d^(2|I|)") from None
+    quantum, low_half = vec.kind == QUANTUM, (1 << t.split) - 1
+    lanes = []  # (p, a lanes, b lanes, a - b + 2^(8w-1) lanes) per prime
+    neg = 0  # the top bit of each lane with a - b < 0 for some p
+    for j, (p, k) in enumerate(t.primes):
+        e = [x[j] for x in exps]
+        both = sum(map(mul, compress(e, e), compress(t.cols, e)))  # a zero times a long int is not free
+        a, b = both & low_half, both >> t.split  # sum max(c, 0) e_I, sum max(-c, 0) e_I
         if quantum:
-            # sum nu_I (|I| - log_d order) = log_d(d^size_weight * neg / pos)
-            lhs, rhs, shift = neg, pos, q.size_weight
-            if shift > 0:
-                lhs *= d**shift
-            elif shift < 0:
-                rhs *= d**-shift
-        else:
-            lhs, rhs = pos, neg
-        if lhs < rhs:
-            failures.append((q.name, lhs, rhs))
-            if lhs * low_rhs < low_lhs * rhs:
-                low_lhs, low_rhs = lhs, rhs
-        elif not failures and lhs * low_rhs < low_lhs * rhs:
-            low_lhs, low_rhs = lhs, rhs
-    return failures, (low_lhs, low_rhs)
+            a, b = b + k * t.shp, a + k * t.shn
+        delta = a - b + t.top
+        neg |= t.top & ~delta
+        lanes.append((p, t.unpack(a), t.unpack(b), t.unpack(delta)))
+
+    def pairs(idx: list[int]) -> tuple[list[int], list[int]]:
+        # prod over primes of p^a and of p^b, lane by lane
+        lhs = reduce(partial(map, mul), [map(pow, repeat(p), map(a.__getitem__, idx)) for p, a, _, _ in lanes])
+        rhs = reduce(partial(map, mul), [map(pow, repeat(p), map(b.__getitem__, idx)) for p, _, b, _ in lanes])
+        return list(lhs), list(rhs)
+
+    failures = []
+    if neg:
+        idx = t.flagged(neg)
+        lhs, rhs = pairs(idx)
+        failures = list(compress(zip(map(t.names.__getitem__, idx), lhs, rhs), map(lt, lhs, rhs)))
+    if len(lanes) == 1:
+        delta = lanes[0][3]
+        idx = [delta.index(min(delta))]
+    else:
+        # the first lane of each distinct (a - b per prime): the last write of a reversed scan wins
+        last = range(t.count - 1, -1, -1)
+        idx = list(dict(zip(zip(*(reversed(delta) for *_, delta in lanes)), last)).values())
+    low = (1, 0)
+    for l, r in zip(*pairs(idx)):
+        if l * low[1] < low[0] * r:
+            low = (l, r)
+    return failures, low
+
+
+def _evaluate(
+    ineqs: list[Inequality], vec: EntropyVector
+) -> tuple[list[tuple[str, int, int]], tuple[int, int]]:
+    """(failures, low) of ``_kernel`` for a list of inequalities on one vector;
+    the ``low`` of a single inequality is its own (lhs, rhs)."""
+    return _kernel(_TABLES.get(ineqs, vec.d), vec)
 
 
 def evaluate_exact(q: Inequality, h: EntropyVector):
@@ -367,9 +542,10 @@ def verify_batch(
 
     Every vector must share one d and one kind: ratios taken in different
     bases are not comparable.  A vector is then fixed by its orders
-    (``EntropyVector.orders``), so the kernel ``_evaluate`` runs once per
-    distinct vector, over every inequality in one loop, and each state keeps
-    only its vector's id.  No result outlives the call.
+    (``EntropyVector.orders``), so ``_kernel`` runs once per distinct vector,
+    over every inequality at once, and each state keeps only its vector's id.
+    The lane table of the list is built on the first call and reused by later
+    calls with the same members; no result outlives the call.
     The smallest value is tracked as the first exact pair (lhs, rhs) with the
     least ratio lhs/rhs in state, then inequality order, compared by
     cross-multiplying; a repeated vector repeats pairs already compared.
@@ -378,16 +554,16 @@ def verify_batch(
     ineqs = list(inequalities)
     report = VerificationReport(name)
     ids: dict[tuple[int, ...], int] = {}
-    d = kind = None
+    d = kind = table = None
     low_lhs, low_rhs = 1, 0  # ratio +inf until the first pair
     for idx, vec in enumerate(vectors):
         if d is None:
-            d, kind = vec.d, vec.kind
+            d, kind, table = vec.d, vec.kind, _TABLES.get(ineqs, vec.d)
         elif (vec.d, vec.kind) != (d, kind):
             raise ValueError(f"vector {idx} has (d, kind) = ({vec.d}, {vec.kind}), not ({d}, {kind})")
         vid = ids.setdefault(vec.orders, len(ids))
         if vid == len(report.failures):  # first occurrence
-            failures, (lhs, rhs) = _evaluate(ineqs, vec)
+            failures, (lhs, rhs) = _kernel(table, vec)
             if lhs * low_rhs < low_lhs * rhs:
                 low_lhs, low_rhs = lhs, rhs
             report.failures.append(failures)

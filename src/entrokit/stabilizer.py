@@ -174,24 +174,26 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
     divisors = [p for p in range(d, 0, -1) if d % p == 0]
     trivial = tuple(tuple(d * (j == i) for j in range(m)) for i in range(m))
 
-    def rows_from(i: int, rows: tuple[tuple[int, ...], ...]) -> Iterator[StabilizerState]:
-        # rows: the HNF rows already chosen, at columns i+1 .. 2n-1
+    def rows_from(
+        i: int, rows: tuple[tuple[int, ...], ...], gens: tuple[tuple[int, ...], ...], order: int
+    ) -> Iterator[StabilizerState]:
+        # rows: the HNF rows already chosen, at columns i+1 .. 2n-1; gens: the
+        # nontrivial ones, which are their own generators mod d; order: |span|
         if i < 0:
             yield StabilizerState(ps, Subgroup(d, m, rows))
             return
         # the subgroup the chosen rows span; its rows at columns <= i are trivial
         below = Subgroup(d, m, trivial[: i + 1] + rows)
-        gens = below.generators()
         for p in divisors:
-            if below.order * (d // p) > d**n:
+            if order * (d // p) > d**n:
                 break
             if p == d:
-                yield from rows_from(i - 1, (trivial[i],) + rows)
+                yield from rows_from(i - 1, (trivial[i],) + rows, gens, order)
                 continue
             for tail in product(*(range(r[j]) for j, r in enumerate(rows, i + 1))):
                 row = (0,) * i + (p,) + tail
                 # isotropy against each nontrivial row g below; HNF: (d/p)*row lies in below
                 if not any(phsp.form(row, g) % d for g in gens) and below.contains([(d // p) * x for x in row]):
-                    yield from rows_from(i - 1, (row,) + rows)
+                    yield from rows_from(i - 1, (row,) + rows, (row,) + gens, order * (d // p))
 
-    yield from rows_from(m - 1, ())
+    yield from rows_from(m - 1, (), (), 1)

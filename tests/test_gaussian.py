@@ -297,6 +297,22 @@ def test_non_finite_sigma_raises_value_error_in_margin_and_search(bad):
         assert type(exc.value) is ValueError
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sigma_raises_value_error_in_subsystem_logdets(bad):
+    sigma = np.eye(4)
+    sigma[0, 0] = bad
+    with pytest.raises(ValueError, match="must be finite") as exc:
+        gsn.subsystem_logdets(sigma, 2)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (8,), (0, 0), (1, 1)])
+def test_physicality_margin_rejects_a_sigma_that_is_not_2n_by_2n(shape):
+    with pytest.raises(ValueError, match="sigma must be 2n x 2n") as exc:
+        gsn.physicality_margin(np.eye(3) if shape == (3, 3) else np.ones(shape))
+    assert type(exc.value) is ValueError
+
+
 def test_shared_caches_are_read_only():
     gather, _, at = gsn._chain_gather(4)
     for cached in (gsn.symplectic_matrix(4), gsn._vacuum_term(4, 0.5), gather, at):

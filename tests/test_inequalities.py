@@ -2,14 +2,16 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from conftest import reference_pair
 
 from entrokit import inequalities as ineq
-from entrokit.phasespace import PhaseSpace
-from entrokit.stabilizer import CLASSICAL, QUANTUM, StabilizerState, entropy_vector
+from entrokit import stabilizer
+from entrokit.phasespace import PhaseSpace, subset_size, subsystem_orders
+from entrokit.stabilizer import CLASSICAL, QUANTUM, StabilizerState, entropy_vector, vector_from_orders
 from entrokit.zmod import Subgroup
 
 A, B, C, D = 1, 2, 4, 8
@@ -22,6 +24,9 @@ def test_inequality_validation():
         ineq.Inequality(2, {4: 1})
     with pytest.raises(ValueError):
         ineq.Inequality(2, {0: 1})
+    for c in (0.5, 1.0, "1", np.int64(1)):  # exact lanes take Python integers only
+        with pytest.raises(ValueError, match="integers"):
+            ineq.Inequality(2, {1: c})
 
 
 def test_json_roundtrip():
@@ -239,12 +244,17 @@ def test_verify_batch_evaluates_each_distinct_vector_once(corpus, monkeypatch):
     vectors = [entropy_vector(st, QUANTUM) for st in corpus(2, 3)]
     qs = ineq.instances("monotonicity", 3)
     assert (len(vectors), len({vec.orders for vec in vectors}), len(qs)) == (514, 26, 30)
-    pairs = []
-    kernel = ineq._evaluate
-    monkeypatch.setattr(ineq, "_evaluate", lambda qs, vec: pairs.append(len(qs)) or kernel(qs, vec))
+    pairs, tables = [], []
+    kernel, lanes = ineq._kernel, ineq._Lanes
+    monkeypatch.setattr(ineq, "_kernel", lambda table, vec: pairs.append(table.count) or kernel(table, vec))
+    monkeypatch.setattr(ineq, "_Lanes", lambda qs, d: tables.append(len(qs)) or lanes(qs, d))
+    monkeypatch.setattr(ineq, "_TABLES", ineq._TableCache(1 << 16))
     report = ineq.verify_batch(qs, vectors)
-    assert pairs == [30] * 26
+    assert pairs == [30] * 26 and tables == [30]
     assert report.states_checked == 514 and not report.passed
+    # a second call on the same list reuses its lane table
+    assert ineq.verify_batch(qs, vectors).to_json() == report.to_json()
+    assert pairs == [30] * 52 and tables == [30]
 
 
 def reference_low(qs, vec):
@@ -315,6 +325,139 @@ def test_kernel_matches_independent_reference(d, n, step, kind, corpus):
     report = ineq.verify_batch(qs, vectors)
     assert report.min_slack == min_slack
     assert report.violations == violations
+
+
+_ORDERS: dict = {}
+
+
+def distinct_vectors(corpus, d, n, kind):
+    """Every distinct entropy vector of ``kind`` among the states at (d, n)."""
+    if (d, n) not in _ORDERS:
+        ps = PhaseSpace(n, d)
+        seen = {}
+        for st in corpus(d, n):
+            orders = subsystem_orders(ps, st.M)
+            seen.setdefault(tuple(orders[mask] for mask in range(1, 1 << n)), orders)
+        _ORDERS[(d, n)] = list(seen.values())
+    return [vector_from_orders(PhaseSpace(n, d), orders, kind) for orders in _ORDERS[(d, n)]]
+
+
+def with_singletons(n):
+    """Every family at n, and c S_I >= 0 for each mask and c in (1, -1, 3): some instance at every n."""
+    return every_family(n) + [ineq.Inequality(n, {m: c}, f"{c}S({m})") for m in range(1, 1 << n) for c in (1, -1, 3)]
+
+
+@pytest.mark.parametrize("d,n,count", [(2, 4, 175), (9, 2, None), (12, 1, None), (30, 1, None)])
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_kernel_matches_reference_on_every_distinct_vector(d, n, count, kind, corpus):
+    # (9, 2): an odd prime power; (12, 1) and (30, 1): two and three primes
+    qs = with_singletons(n)
+    vectors = distinct_vectors(corpus, d, n, kind)
+    assert count is None or len(vectors) == count
+    for vec in vectors:
+        assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
+
+
+@pytest.mark.parametrize("d,n", [(6, 2), (12, 2), (30, 2), (9, 2), (8, 3)])
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_kernel_matches_reference_on_random_orders(d, n, kind):
+    # orders need not come from a state here: any divisor of d^|I| takes every
+    # sign pattern of a - b across the primes of d
+    rng = random.Random(d * 100 + n)
+    ps, masks = PhaseSpace(n, d), range(1, 1 << n)
+    divisors = [[o for o in range(1, d ** subset_size(m) + 1) if d ** (2 * subset_size(m)) % o == 0] for m in masks]
+    qs = [ineq.Inequality(n, {m: rng.randint(-3, 3) or 1 for m in rng.sample(masks, 3)}, f"q{j}") for j in range(40)]
+    qs += [qs[0], qs[5]]  # repeated members keep their own lanes
+    for _ in range(60):
+        vec = vector_from_orders(ps, {m: rng.choice(divs) for m, divs in zip(masks, divisors)}, kind)
+        assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
+
+
+def test_kernel_least_ratio_is_exact_at_a_near_tie():
+    # S = (log_6 3, log_6 2, 0): 306 S_1 - 485 S_2 = log_6(3^306 / 2^485), about -6e-4, is the
+    # least, just below S_12 = 0; a sum of rounded logs with 2^16 steps orders the two the other way
+    vec = vector_from_orders(PhaseSpace(2, 6), {1: 2, 2: 3, 3: 36}, QUANTUM)
+    near, zero = ineq.Inequality(2, {1: 306, 2: -485}, "near"), ineq.Inequality(2, {3: 1}, "zero")
+    for qs in ([near, zero], [zero, near]):
+        failures, low = ineq._evaluate(qs, vec)
+        assert (failures, low) == reference_low(qs, vec)
+        assert [f[0] for f in failures] == ["near"] and low == failures[0][1:]
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 9])
+def test_kernel_lanes_hold_the_largest_exponents(d):
+    # every order at its largest: |M_I| = d^|I| (quantum), d^(2|I|) (classical, trivial M)
+    ps = PhaseSpace(2, d)
+    vectors = [
+        vector_from_orders(ps, {1: d, 2: d, 3: d * d}, QUANTUM),
+        vector_from_orders(ps, {1: 1, 2: 1, 3: 1}, CLASSICAL),
+    ]
+    for c in (1, 40, 80, 1000):
+        qs = [
+            ineq.Inequality(2, nu, str(nu))
+            for nu in ({3: c}, {3: -c}, {1: c, 2: c, 3: -c}, {1: -c, 3: c}, {1: c, 2: -c}, {1: -c, 2: -c, 3: -c})
+        ]
+        for vec in vectors:
+            assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
+
+
+def test_kernel_lanes_wider_than_64_bits(corpus):
+    # a huge coefficient only on masks of order 1 (S = |I| there), so lhs and rhs stay small
+    vectors = [v for d in (2, 6) for v in distinct_vectors(corpus, d, 2, QUANTUM) if v.orders[:2] == (1, 1)]
+    assert {v.d for v in vectors} == {2, 6}
+    for big in (2**40, 10**30):
+        qs = [
+            ineq.Inequality(2, {1: big, 2: -big, 3: 1}, "tight"),
+            ineq.Inequality(2, {1: big, 2: -big - 1}, "fails"),
+            ineq.Inequality(2, {1: -big, 2: big, 3: -1}, "tight again"),
+            ineq.Inequality(2, {3: 1}, "held"),
+        ]
+        for vec in vectors:
+            assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
+            assert [ineq.evaluate_exact(q, vec) for q in qs] == [reference_pair(q, vec) for q in qs]
+            assert ineq._evaluate(qs, vec)[0][0][0] == "fails"
+        if big == 10**30:
+            assert ineq._TABLES.get(qs, 6).w > 8
+
+
+def test_kernel_rejects_an_order_that_does_not_divide():
+    vec = stabilizer.EntropyVector(1, 2, QUANTUM, {1: stabilizer.ExactEntropy(1, 3, 2, QUANTUM)})
+    with pytest.raises(ValueError, match="does not divide"):
+        ineq._evaluate([ineq.Inequality(1, {1: 1})], vec)
+
+
+def test_inequality_coefficients_are_read_only():
+    nu = {1: 1, 3: -1}
+    q = ineq.Inequality(2, nu, "q")
+    nu[1] = 5  # the caller's dict is copied
+    assert dict(q.nu) == {1: 1, 3: -1}
+    with pytest.raises(TypeError):
+        q.nu[1] = 2
+    with pytest.raises(TypeError):
+        del q.nu[3]
+
+
+def test_table_cache_evicts_the_oldest_past_its_lane_budget():
+    cache = ineq._TableCache(budget=3)
+    lists = [[ineq.Inequality(2, {m: 1})] * 2 for m in (1, 2, 3)]
+    tables = [cache.get(qs, 2) for qs in lists]
+    # the first table went when the third came: the other two held 4 > 3 lanes
+    assert [any(t is u for u in cache.tables.values()) for t in tables] == [False, True, True]
+    assert cache.get(lists[2], 2) is tables[2] and cache.get(lists[1], 2) is tables[1]
+    assert cache.lanes == sum(t.count for t in cache.tables.values()) == 4
+    assert cache.get(lists[0][:1], 2) is not cache.get(lists[0], 2)  # a different list length
+    assert cache.get(lists[0], 3) is not cache.get(lists[0], 2)  # another d
+
+
+def test_equally_named_lists_with_different_coefficients_get_their_own_verdicts():
+    vec = maximally_entangled()  # S = (1, 1, 0)
+    common = ineq.Inequality(2, {1: 1}, "common")
+    held, failed = ineq.Inequality(2, {2: 1}, "q"), ineq.Inequality(2, {3: 1, 1: -1}, "q")
+    assert held == failed  # Inequality equality ignores nu, so no cache may rely on it
+    # the same length and first member: the cache must compare every member
+    for _ in range(2):  # the second round evaluates lists whose tables were built before
+        reports = [ineq.verify_batch(qs, [vec]) for qs in ([held], [failed], [common, held], [common, failed])]
+        assert [(r.passed, r.min_slack) for r in reports] == [(True, 1.0), (False, -1.0)] * 2
 
 
 def maximally_entangled():
