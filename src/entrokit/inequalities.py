@@ -26,7 +26,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import compress, permutations, product, repeat
+from itertools import compress, permutations, repeat
 from operator import is_, lt, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -128,48 +128,43 @@ class _Lanes:
     Every order divides d^{2|I|}, so e_I <= 2 |I| k and a, b <= bound =
     max k * max_j (2 sum_I |c| |I| + |s|).  The lane width is the least power
     of two with bound < 2^(8w-1), so a - b + 2^(8w-1) (``top`` packs
-    2^(8w-1)) stays inside its lane.  ``factor`` is ``_divisor_exponents(d,
-    n)``.  The table holds its inequalities, and their ``nu`` are read-only,
-    so it cannot go stale.
+    2^(8w-1)) stays inside its lane.  The table holds its inequalities, and
+    their ``nu`` are read-only, so it cannot go stale.
     """
 
     def __init__(self, ineqs: tuple[Inequality, ...], d: int):
-        self.ineqs, self.count = ineqs, len(ineqs)
+        self.ineqs, self.count, self.d = ineqs, len(ineqs), d
         self.names = [q.name for q in ineqs]
         self.arities = {q.n for q in ineqs}
         self.primes = _prime_powers(d)
         n = max(self.arities, default=0)
         self.sizes = [subset_size(mask) for mask in range(1, 1 << n)]
         bound = max(k for _, k in self.primes) * max(
-            (2 * sum(abs(c) * subset_size(m) for m, c in q.nu.items()) + abs(q.size_weight) for q in ineqs),
+            (2 * sum(abs(c) * self.sizes[m - 1] for m, c in q.nu.items()) + abs(q.size_weight) for q in ineqs),
             default=0,
         )
         self.w = 1
         while bound >= 1 << (8 * self.w - 1):
             self.w *= 2
         self.split = 8 * self.w * self.count  # bit length of one lane set
-        # lane j of column I: max(c, 0) at flat[2 (I - 1) count + j], max(-c, 0) one lane set later
-        flat = [0] * (2 * len(self.sizes) * self.count)
+        # lane j of column I: max(c, 0) in lane 2 (I - 1) count + j of buf, max(-c, 0) one lane set later
+        buf, w = bytearray(2 * len(self.sizes) * self.count * self.w), self.w
         for j, q in enumerate(ineqs):
             for mask, c in q.nu.items():
-                flat[(2 * (mask - 1) + (c < 0)) * self.count + j] = abs(c)
-        buf, step = self.lanes_bytes(flat), 2 * self.w * self.count
+                at = ((2 * (mask - 1) + (c < 0)) * self.count + j) * w
+                buf[at : at + w] = abs(c).to_bytes(w, "little")
+        step = 2 * w * self.count
         self.cols = [int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step)]
         self.shp = self.pack([max(q.size_weight, 0) for q in ineqs])
         self.shn = self.pack([max(-q.size_weight, 0) for q in ineqs])
         self.top = self.pack([1 << (8 * self.w - 1)] * self.count)
-        self.factor = _divisor_exponents(d, n)
-
-    def lanes_bytes(self, lanes: list[int]) -> bytes:
-        """lanes[j] at bytes j w .. (j + 1) w - 1, little-endian; each lane is in [0, 2^(8w))."""
-        code = _TYPECODES.get(self.w)
-        if code:
-            return array(code, lanes).tobytes()
-        return b"".join(x.to_bytes(self.w, "little") for x in lanes)
 
     def pack(self, lanes: list[int]) -> int:
-        """One integer holding lanes[j] in lane j."""
-        return int.from_bytes(self.lanes_bytes(lanes), "little")
+        """One integer holding lanes[j] in lane j; each lane is in [0, 2^(8w))."""
+        code = _TYPECODES.get(self.w)
+        if code:
+            return int.from_bytes(array(code, lanes).tobytes(), "little")
+        return int.from_bytes(b"".join(x.to_bytes(self.w, "little") for x in lanes), "little")
 
     def unpack(self, x: int):
         """The lanes of a packed integer, as a sequence of ints."""
@@ -205,47 +200,33 @@ def _prime_powers(d: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _divisor_exponents(d: int, n: int) -> list[dict[int, tuple[int, ...]]]:
-    """For each size 0 .. n, every divisor of d^{2 size}, mapped to its exponent
-    tuple over the primes of d, in ``_prime_powers`` order."""
-    primes = _prime_powers(d)
-    return [
-        {
-            math.prod(p**e for (p, _), e in zip(primes, es)): es
-            for es in product(*(range(2 * size * k + 1) for _, k in primes))
-        }
-        for size in range(n + 1)
-    ]
+@lru_cache(maxsize=1 << 12)
+def _exponents(d: int, size: int, order: int) -> tuple[int, ...]:
+    """The exponents of an order over the primes of d, in ``_prime_powers``
+    order; ValueError unless the order divides d^{2 size}."""
+    rest, es = order, []
+    for p, k in _prime_powers(d):
+        e = 0
+        while rest % p == 0 and e < 2 * size * k:
+            rest, e = rest // p, e + 1
+        es.append(e)
+    if rest != 1:
+        raise ValueError(f"order {order} does not divide {d}^{2 * size}")
+    return tuple(es)
 
 
-class _TableCache:
-    """Lane tables found again by the identity of every member of their list.
-
-    Keyed by (d, count, id of the first member); a cached table pins its
-    members, so no other object can take that id while the table is cached.
-    The oldest tables go first once those besides the newest hold more than
-    ``budget`` lanes.
-    """
-
-    def __init__(self, budget: int):
-        self.tables: dict[tuple[int, int, int], _Lanes] = {}
-        self.budget, self.lanes = budget, 0
-
-    def get(self, ineqs: list[Inequality], d: int) -> _Lanes:
-        key = (d, len(ineqs), id(ineqs[0]) if ineqs else 0)
-        table = self.tables.get(key)
-        if table is None or not all(map(is_, table.ineqs, ineqs)):
-            if table is not None:
-                self.lanes -= self.tables.pop(key).count
-            while self.tables and self.lanes > self.budget:
-                self.lanes -= self.tables.pop(next(iter(self.tables))).count
-            table = self.tables[key] = _Lanes(tuple(ineqs), d)
-            self.lanes += table.count
-        return table
+_last: _Lanes | None = None  # the table ``_table`` built last
 
 
-_TABLES = _TableCache(1 << 16)
+def _table(ineqs: list[Inequality], d: int) -> _Lanes:
+    """The lane table of a list at d.  The last one built is kept and reused
+    while d and every member, by identity, are the same; it holds its members,
+    so no other object can take their ids meanwhile."""
+    global _last
+    t = _last
+    if t is None or t.d != d or t.count != len(ineqs) or not all(map(is_, t.ineqs, ineqs)):
+        t = _last = _Lanes(tuple(ineqs), d)
+    return t
 
 
 def _kernel(t: _Lanes, vec: EntropyVector) -> tuple[list[tuple[str, int, int]], tuple[int, int]]:
@@ -270,10 +251,7 @@ def _kernel(t: _Lanes, vec: EntropyVector) -> tuple[list[tuple[str, int, int]], 
         raise ValueError("inequality arity does not match entropy vector")
     if not t.count:
         return [], (1, 0)  # ratio +inf: no pair
-    try:
-        exps = [t.factor[size][order] for size, order in zip(t.sizes, vec.orders)]
-    except KeyError:
-        raise ValueError(f"an order of {vec.orders} does not divide d^(2|I|)") from None
+    exps = [_exponents(t.d, size, order) for size, order in zip(t.sizes, vec.orders)]
     quantum, low_half = vec.kind == QUANTUM, (1 << t.split) - 1
     lanes = []  # (p, a lanes, b lanes, a - b + 2^(8w-1) lanes) per prime
     neg = 0  # the top bit of each lane with a - b < 0 for some p
@@ -298,7 +276,7 @@ def _kernel(t: _Lanes, vec: EntropyVector) -> tuple[list[tuple[str, int, int]], 
         idx = t.flagged(neg)
         lhs, rhs = pairs(idx)
         failures = list(compress(zip(map(t.names.__getitem__, idx), lhs, rhs), map(lt, lhs, rhs)))
-    if len(lanes) == 1:
+    if len(lanes) == 1:  # a C-level min; the dedup below makes verify_batch 1.35-1.5x slower at d = 2, 4
         delta = lanes[0][3]
         idx = [delta.index(min(delta))]
     else:
@@ -317,7 +295,7 @@ def _evaluate(
 ) -> tuple[list[tuple[str, int, int]], tuple[int, int]]:
     """(failures, low) of ``_kernel`` for a list of inequalities on one vector;
     the ``low`` of a single inequality is its own (lhs, rhs)."""
-    return _kernel(_TABLES.get(ineqs, vec.d), vec)
+    return _kernel(_table(ineqs, vec.d), vec)
 
 
 def evaluate_exact(q: Inequality, h: EntropyVector):
@@ -326,9 +304,9 @@ def evaluate_exact(q: Inequality, h: EntropyVector):
     Returns (nonnegative: bool, lhs: int, rhs: int) where the inequality holds
     iff lhs >= rhs; lhs/rhs are products of d-powers and subgroup orders, and
     the value of the sum is log_d(lhs / rhs).  The one-pair view of the batch
-    kernel ``_evaluate``.
+    kernel, on a one-lane table of its own.
     """
-    _, (lhs, rhs) = _evaluate([q], h)
+    _, (lhs, rhs) = _kernel(_Lanes((q,), h.d), h)
     return lhs >= rhs, lhs, rhs
 
 
@@ -544,8 +522,8 @@ def verify_batch(
     bases are not comparable.  A vector is then fixed by its orders
     (``EntropyVector.orders``), so ``_kernel`` runs once per distinct vector,
     over every inequality at once, and each state keeps only its vector's id.
-    The lane table of the list is built on the first call and reused by later
-    calls with the same members; no result outlives the call.
+    The lane table of the list is kept for the next call on the same members;
+    no result outlives the call.
     The smallest value is tracked as the first exact pair (lhs, rhs) with the
     least ratio lhs/rhs in state, then inequality order, compared by
     cross-multiplying; a repeated vector repeats pairs already compared.
@@ -558,7 +536,7 @@ def verify_batch(
     low_lhs, low_rhs = 1, 0  # ratio +inf until the first pair
     for idx, vec in enumerate(vectors):
         if d is None:
-            d, kind, table = vec.d, vec.kind, _TABLES.get(ineqs, vec.d)
+            d, kind, table = vec.d, vec.kind, _table(ineqs, vec.d)
         elif (vec.d, vec.kind) != (d, kind):
             raise ValueError(f"vector {idx} has (d, kind) = ({vec.d}, {vec.kind}), not ({d}, {kind})")
         vid = ids.setdefault(vec.orders, len(ids))

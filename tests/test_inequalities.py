@@ -1,8 +1,10 @@
 """Inequality coefficients, balance, and exact big-integer evaluation."""
 
+import gc
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -248,7 +250,7 @@ def test_verify_batch_evaluates_each_distinct_vector_once(corpus, monkeypatch):
     kernel, lanes = ineq._kernel, ineq._Lanes
     monkeypatch.setattr(ineq, "_kernel", lambda table, vec: pairs.append(table.count) or kernel(table, vec))
     monkeypatch.setattr(ineq, "_Lanes", lambda qs, d: tables.append(len(qs)) or lanes(qs, d))
-    monkeypatch.setattr(ineq, "_TABLES", ineq._TableCache(1 << 16))
+    monkeypatch.setattr(ineq, "_last", None)
     report = ineq.verify_batch(qs, vectors)
     assert pairs == [30] * 26 and tables == [30]
     assert report.states_checked == 514 and not report.passed
@@ -373,6 +375,24 @@ def test_kernel_matches_reference_on_random_orders(d, n, kind):
         assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
 
 
+def test_kernel_factors_orders_over_many_primes():
+    # d = 2 3 5 7 11 13: an order is factored by its own divisions, with no table of the
+    # divisors of d^(2|I|) (7^6 of them at |I| = 3)
+    d, n = 30030, 3
+    rng = random.Random(d)
+    primes, masks = (2, 3, 5, 7, 11, 13), range(1, 1 << n)
+    qs = [ineq.Inequality(n, {m: rng.randint(-3, 3) or 1 for m in rng.sample(masks, 3)}, f"q{j}") for j in range(30)]
+    for kind in (QUANTUM, CLASSICAL):
+        for _ in range(10):
+            orders = {m: math.prod(p ** rng.randint(0, subset_size(m)) for p in primes) for m in masks}
+            vec = vector_from_orders(PhaseSpace(n, d), orders, kind)
+            assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
+    for order in (17, 2**3, 0):  # another prime; 2^3 beyond 2^(2|I|) = 4; not an order
+        vec = stabilizer.EntropyVector(1, d, QUANTUM, {1: stabilizer.ExactEntropy(1, order, d, QUANTUM)})
+        with pytest.raises(ValueError, match="does not divide"):
+            ineq._evaluate([ineq.Inequality(1, {1: 1})], vec)
+
+
 def test_kernel_least_ratio_is_exact_at_a_near_tie():
     # S = (log_6 3, log_6 2, 0): 306 S_1 - 485 S_2 = log_6(3^306 / 2^485), about -6e-4, is the
     # least, just below S_12 = 0; a sum of rounded logs with 2^16 steps orders the two the other way
@@ -417,7 +437,7 @@ def test_kernel_lanes_wider_than_64_bits(corpus):
             assert [ineq.evaluate_exact(q, vec) for q in qs] == [reference_pair(q, vec) for q in qs]
             assert ineq._evaluate(qs, vec)[0][0][0] == "fails"
         if big == 10**30:
-            assert ineq._TABLES.get(qs, 6).w > 8
+            assert ineq._table(qs, 6).w > 8
 
 
 def test_kernel_rejects_an_order_that_does_not_divide():
@@ -437,16 +457,23 @@ def test_inequality_coefficients_are_read_only():
         del q.nu[3]
 
 
-def test_table_cache_evicts_the_oldest_past_its_lane_budget():
-    cache = ineq._TableCache(budget=3)
-    lists = [[ineq.Inequality(2, {m: 1})] * 2 for m in (1, 2, 3)]
-    tables = [cache.get(qs, 2) for qs in lists]
-    # the first table went when the third came: the other two held 4 > 3 lanes
-    assert [any(t is u for u in cache.tables.values()) for t in tables] == [False, True, True]
-    assert cache.get(lists[2], 2) is tables[2] and cache.get(lists[1], 2) is tables[1]
-    assert cache.lanes == sum(t.count for t in cache.tables.values()) == 4
-    assert cache.get(lists[0][:1], 2) is not cache.get(lists[0], 2)  # a different list length
-    assert cache.get(lists[0], 3) is not cache.get(lists[0], 2)  # another d
+def test_only_the_last_lane_table_is_kept():
+    vec = maximally_entangled()
+    refs = []
+    for m in (1, 2, 3) * 20:  # a fresh list, of fresh members, on every call
+        q = ineq.Inequality(2, {m: 1})
+        refs.append(weakref.ref(q))
+        assert ineq.verify_batch([q, q], [vec]).passed
+        del q
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 59 + [False]
+    last = ineq._table([refs[-1]()] * 2, 2)
+    assert ineq._table([refs[-1]()] * 2, 2) is last  # the same members again: a hit
+    assert ineq._table([refs[-1]()], 2) is not last  # a different list length
+    assert ineq._table([refs[-1]()], 3) is not ineq._table([refs[-1]()], 2)  # another d
+    last = ineq._table([refs[-1]()], 2)
+    assert ineq.evaluate_exact(ineq.Inequality(2, {3: 1}), vec) == (True, 4, 4)
+    assert ineq._table([refs[-1]()], 2) is last  # evaluate_exact builds a table of its own
 
 
 def test_equally_named_lists_with_different_coefficients_get_their_own_verdicts():
