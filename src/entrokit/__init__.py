@@ -12,12 +12,9 @@ from .stabilizer import (
     CLASSICAL,
     QUANTUM,
     EntropyVector,
-    ExactEntropy,
     StabilizerState,
-    classical_entropy,
     entropy_vector,
     enumerate_isotropic,
-    quantum_entropy,
     order_identity_check,
 )
 from .zmod import Subgroup
@@ -26,14 +23,11 @@ __all__ = [
     "CLASSICAL",
     "QUANTUM",
     "EntropyVector",
-    "ExactEntropy",
     "PhaseSpace",
     "StabilizerState",
     "Subgroup",
-    "classical_entropy",
     "entropy_vector",
     "enumerate_isotropic",
-    "quantum_entropy",
     "symplectic_form",
     "order_identity_check",
 ]

@@ -46,8 +46,8 @@ def _vector_obj(vec: EntropyVector) -> dict:
     return {
         "kind": vec.kind,
         "entries": [
-            {"mask": mask, "size": e.subset_size, "order": e.subgroup_order, "entropy_log_d": _fmt(e.value)}
-            for mask, e in sorted(vec.entries.items())
+            {"mask": mask, "size": subset_size(mask), "order": q, "entropy_log_d": _fmt(vec.value(mask))}
+            for mask, q in enumerate(vec.orders, 1)
         ],
     }
 
@@ -63,13 +63,11 @@ def cmd_enumerate(args) -> int:
     with open(out, "w") as fh:
         for idx, st in enumerate(enumerate_isotropic(ps)):
             orders = subsystem_orders(ps, st.M)  # the one kernel run per state
-            key = tuple(orders[mask] for mask in range(1, 1 << n))
-            if key not in blocks:
-                blocks[key] = tuple(
-                    json.dumps(_vector_obj(vector_from_orders(ps, orders, kind)), sort_keys=True)
-                    for kind in (CLASSICAL, QUANTUM)
-                )
-            classical, quantum = blocks[key]
+            vec = vector_from_orders(ps, orders, QUANTUM)
+            if vec.orders not in blocks:
+                both = (vector_from_orders(ps, orders, CLASSICAL), vec)
+                blocks[vec.orders] = tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in both)
+            classical, quantum = blocks[vec.orders]
             gens = json.dumps(st.M.generators())
             # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
             fh.write(
@@ -100,12 +98,12 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     the file, both blocks well formed (see _block_orders), quantum orders that
     ``vector_from_orders`` accepts (each |M_I| a divisor of d^(2|I|) and at
     most d^|I|), and classical orders equal to the ones it derives,
-    d^(2|I|) / |M_I|.  Both vectors are built once per distinct tuple of
-    quantum orders, so records with the same orders share one vector object.
+    d^(2|I|) / |M_I|.  The vector is built once per distinct tuple of quantum
+    orders, so records with the same orders share one vector object.
     """
     d = n = None
     idx = -1
-    shared: dict[tuple[int, ...], dict[str, EntropyVector]] = {}
+    shared: dict[tuple[int, ...], EntropyVector] = {}
     with open(path) as fh:
         for line in fh:
             if not line.strip():
@@ -120,6 +118,7 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                     if d ** (2 * n) > ENUMERATION_GUARD:
                         raise ValueError(f"d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}")
                     sizes = [subset_size(mask) for mask in range(1 << n)]
+                    fulls = [d ** (2 * size) for size in sizes]
                     ps = PhaseSpace(n, d)
                 elif (rec["d"], rec["n"]) != (d, n):
                     raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
@@ -127,13 +126,13 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                 classical = _block_orders(rec, CLASSICAL, sizes)
                 key = tuple(quantum[mask] for mask in range(1, 1 << n))
                 if key not in shared:
-                    shared[key] = {k: vector_from_orders(ps, quantum, k) for k in (QUANTUM, CLASSICAL)}
-                if shared[key][CLASSICAL].orders != tuple(classical[mask] for mask in range(1, 1 << n)):
+                    shared[key] = vector_from_orders(ps, quantum, kind)
+                if any(classical[mask] * quantum[mask] != fulls[mask] for mask in range(1, 1 << n)):
                     raise ValueError("classical orders are not d^(2|I|) / quantum orders")
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"record {idx}: {detail}") from None
-            yield shared[key][kind]
+            yield shared[key]
     if d is None:
         raise ValueError("empty corpus")
 

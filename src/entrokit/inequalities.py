@@ -14,7 +14,7 @@ one multiply-accumulate of those columns by the vector's p-exponents gives the
 p-power of every lhs and rhs; lanes whose sign decides the verdict are read
 from their top bits, and only failing and least lanes become (lhs, rhs)
 integers.  ``verify_batch`` runs the kernel once per distinct vector;
-``_evaluate`` and ``evaluate_exact`` are its one-vector and one-pair views.
+``_evaluate`` is its one-vector view.
 No numpy is imported here, so ``verify`` does not pay for loading it.
 """
 
@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .phasespace import subset_size
-from .stabilizer import CLASSICAL, QUANTUM, EntropyVector
+from .stabilizer import QUANTUM, EntropyVector
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -245,8 +245,6 @@ def _kernel(t: _Lanes, vec: EntropyVector) -> tuple[list[tuple[str, int, int]], 
     ones are distinct ratios, so the first lane of each distinct (a - b per
     prime) is compared exactly.
     """
-    if vec.kind not in (QUANTUM, CLASSICAL):
-        raise ValueError(f"exact evaluation undefined for kind {vec.kind!r}")
     if t.arities - {vec.n}:
         raise ValueError("inequality arity does not match entropy vector")
     if not t.count:
@@ -296,18 +294,6 @@ def _evaluate(
     """(failures, low) of ``_kernel`` for a list of inequalities on one vector;
     the ``low`` of a single inequality is its own (lhs, rhs)."""
     return _kernel(_table(ineqs, vec.d), vec)
-
-
-def evaluate_exact(q: Inequality, h: EntropyVector):
-    """Exact sign of sum nu_I S_I on a stabilizer entropy vector.
-
-    Returns (nonnegative: bool, lhs: int, rhs: int) where the inequality holds
-    iff lhs >= rhs; lhs/rhs are products of d-powers and subgroup orders, and
-    the value of the sum is log_d(lhs / rhs).  The one-pair view of the batch
-    kernel, on a one-lane table of its own.
-    """
-    _, (lhs, rhs) = _kernel(_Lanes((q,), h.d), h)
-    return lhs >= rhs, lhs, rhs
 
 
 def evaluate_float(q: Inequality, values) -> float:

@@ -280,11 +280,11 @@ def cross_check(states: Sequence[StabilizerState]) -> dict[str, np.ndarray]:
         ],
         axis=0,
     )
-    vectors = [entropy_vector(st, QUANTUM).entries for st in states]
+    vectors = [entropy_vector(st, QUANTUM) for st in states]
     entropy_errs = []
     for mask in range(1, 1 << ps.n):
         evals = spectrum(reduced_state(rho, ps, mask))
-        exact = np.array([vec[mask].value for vec in vectors])
+        exact = np.array([vec.value(mask) for vec in vectors])
         for alpha in ("vonNeumann", 0.5, 2, 3):
             entropy_errs.append(np.abs(spectral_entropy(evals, alpha, d) - exact))
     wigner_err = np.zeros(len(states))

@@ -1,8 +1,8 @@
 """Entropy vectors of stabilizer states from the subgroup description alone.
 
-Entropies are stored exactly as (subset size, subgroup order) pairs; decimal
-values only appear at the I/O boundary.  One run of the chain kernel
-``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every subset I from
+A vector is stored exactly as its tuple of subgroup orders, one per nonempty
+subset; decimal values only appear at the I/O boundary.  One run of the chain
+kernel ``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every subset I from
 C(n, floor(n/2)) HNFs) gives both vectors: the quantum order is
 |M_I| = |M ∩ V_I|, and the classical one follows from the order identity
 |M_I| * |pi_I(M_perp)| = d^{2|I|}, which holds because pi_I(M_perp) is the
@@ -14,7 +14,8 @@ the check of that identity: ``order_identity_check`` counts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator
@@ -28,44 +29,41 @@ CLASSICAL = "classical"
 
 ENUMERATION_GUARD = 2**24
 
-
-@dataclass(frozen=True)
-class ExactEntropy:
-    """An entropy value in units of log d, kept as exact integer data.
-
-    quantum kind:   value = subset_size - log_d(subgroup_order)
-    classical kind: value = log_d(subgroup_order)
-    """
-
-    subset_size: int
-    subgroup_order: int
-    d: int
-    kind: str
-
-    @property
-    def value(self) -> float:
-        logd = math.log(self.subgroup_order) / math.log(self.d)
-        if self.kind == QUANTUM:
-            return self.subset_size - logd
-        return logd
+_Entry = namedtuple("_Entry", "subset_size subgroup_order")
 
 
 @dataclass(frozen=True)
 class EntropyVector:
+    """An entropy vector in units of log d, as exact integers: ``orders[mask - 1]``
+    is the subgroup order of subset mask, |M_I| for the quantum kind, whose
+    S_I = |I| - log_d |M_I|, and |pi_I(M_perp)| for the classical one, whose
+    H_I = log_d |pi_I(M_perp)|."""
+
     n: int
     d: int
     kind: str
-    entries: dict[int, ExactEntropy] = field(compare=False)
+    orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        expected = set(range(1, 1 << self.n))
-        if set(self.entries) != expected:
-            raise ValueError("entropy vector must have one entry per nonempty subset")
+        if self.kind not in (QUANTUM, CLASSICAL):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if len(self.orders) != (1 << self.n) - 1:
+            raise ValueError("entropy vector must have one order per nonempty subset")
 
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        """Subgroup orders over masks 1 .. 2^n - 1: with n, d and kind, the whole vector."""
-        return tuple(self.entries[mask].subgroup_order for mask in range(1, 1 << self.n))
+    def value(self, mask: int) -> float:
+        """The entropy of subset ``mask`` in units of log d."""
+        if not 0 < mask < 1 << self.n:
+            raise ValueError(f"particle subset {mask} is empty or out of range")
+        logd = math.log(self.orders[mask - 1]) / math.log(self.d)
+        if self.kind == QUANTUM:
+            return subset_size(mask) - logd
+        return logd
+
+    @property
+    def entries(self) -> dict[int, _Entry]:
+        """mask -> (subset_size, subgroup_order), built on demand from ``orders``.
+        Its only reader is the perfbench harness."""
+        return {mask: _Entry(subset_size(mask), q) for mask, q in enumerate(self.orders, 1)}
 
 
 class StabilizerState:
@@ -90,22 +88,6 @@ class StabilizerState:
         return hash(self.M)
 
 
-def _entry(st: StabilizerState, mask: int, kind: str) -> ExactEntropy:
-    if not 0 < mask <= st.ps.full_mask:
-        raise ValueError(f"particle subset {mask} is empty or out of range")
-    return entropy_vector(st, kind).entries[mask]
-
-
-def quantum_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
-    """S(rho(M)_I) = |I| - log_d |M_I|, exactly: one entry of the quantum vector."""
-    return _entry(st, mask, QUANTUM)
-
-
-def classical_entropy(st: StabilizerState, mask: int) -> ExactEntropy:
-    """H(X_I) = log_d |pi_I(M_perp)| for the uniform phase-space model."""
-    return _entry(st, mask, CLASSICAL)
-
-
 def order_identity_check(st: StabilizerState) -> bool:
     """S = H - |I| for every nonempty I, as the exact order identity
     |pi_I(M_perp)| * |M_I| = d^{2|I|}, with each side counted from its own
@@ -128,16 +110,14 @@ def vector_from_orders(ps: PhaseSpace, orders: dict[int, int], kind: str) -> Ent
     isotropic subgroup of V_I is.  The classical order is
     |pi_I(M_perp)| = d^{2|I|} / |M_I| by the order identity.
     """
-    if kind not in (QUANTUM, CLASSICAL):
-        raise ValueError(f"unknown kind {kind!r}")
-    d, entries = ps.d, {}
+    d, out = ps.d, []
     for mask in range(1, 1 << ps.n):
         size, q = subset_size(mask), orders[mask]
         full = d ** (2 * size)
         if not (0 < q <= d**size and full % q == 0):
             raise ValueError(f"mask {mask}: order {q} is not a divisor of d^{2 * size} at most d^{size}")
-        entries[mask] = ExactEntropy(size, q if kind == QUANTUM else full // q, d, kind)
-    return EntropyVector(ps.n, d, kind, entries)
+        out.append(q if kind == QUANTUM else full // q)
+    return EntropyVector(ps.n, d, kind, tuple(out))
 
 
 def entropy_vector(st: StabilizerState, kind: str = QUANTUM) -> EntropyVector:

@@ -19,7 +19,7 @@ def corpus():
 
 def reference_pair(q, vec):
     """(ok, lhs, rhs) of one pair, evaluated on its own from the bigints of
-    ``entries[mask].subgroup_order``: the per-pair evaluator the batch kernel replaced."""
+    ``orders[mask - 1]``: the per-pair evaluator the batch kernel replaced."""
     if q.n != vec.n:
         raise ValueError("inequality arity does not match entropy vector")
     if vec.kind == QUANTUM:
@@ -30,9 +30,9 @@ def reference_pair(q, vec):
     for mask, c in q.nu.items():
         e = sign * c
         if e > 0:
-            lhs *= vec.entries[mask].subgroup_order**e
+            lhs *= vec.orders[mask - 1] ** e
         elif e < 0:
-            rhs *= vec.entries[mask].subgroup_order ** (-e)
+            rhs *= vec.orders[mask - 1] ** (-e)
     if shift > 0:
         lhs *= vec.d**shift
     elif shift < 0:

@@ -9,7 +9,7 @@ import pytest
 
 from entrokit import oracle
 from entrokit.phasespace import PhaseSpace, particles, symplectic_form
-from entrokit.stabilizer import StabilizerState, quantum_entropy
+from entrokit.stabilizer import QUANTUM, StabilizerState, entropy_vector
 from entrokit.zmod import Subgroup
 
 
@@ -154,9 +154,7 @@ def test_dense_entropies_match_subgroup_formula(d, n, corpus):
     for st, rho in zip(states, oracle.dense_state(states), strict=True):
         for mask in range(1, 1 << n):
             red = oracle.reduced_state(rho, ps, mask)
-            exact = len(particles(mask)) - math.log(
-                quantum_entropy(st, mask).subgroup_order
-            ) / math.log(d)
+            exact = len(particles(mask)) - math.log(entropy_vector(st, QUANTUM).orders[mask - 1]) / math.log(d)
             evals = oracle.spectrum(red)
             for alpha in ("vonNeumann", 0.5, 2, 3):
                 assert abs(oracle.spectral_entropy(evals, alpha, d) - exact) < oracle.ATOL_EIG
@@ -233,7 +231,7 @@ def test_even_d_reduced_spectra_match_formula(corpus):
         for mask in (1, 2, 3):
             red = oracle.reduced_state(rho, ps, mask)
             evals = np.sort(np.linalg.eigvalsh(red))[::-1]
-            order = quantum_entropy(st, mask).subgroup_order
+            order = entropy_vector(st, QUANTUM).orders[mask - 1]
             k = len(particles(mask))
             # flat spectrum: rank r = d^k / |M_I| eigenvalues equal to 1/r
             r = round(d**k / order)
@@ -398,7 +396,7 @@ def reference_cross_check(st):
     rho = P / np.trace(P).real
     entropy_err = 0.0
     for mask in range(1, 1 << ps.n):
-        exact = len(particles(mask)) - math.log(quantum_entropy(st, mask).subgroup_order) / math.log(d)
+        exact = len(particles(mask)) - math.log(entropy_vector(st, QUANTUM).orders[mask - 1]) / math.log(d)
         for value in reference_entropies(reference_reduced_state(rho, ps, mask), d):
             entropy_err = max(entropy_err, abs(value - exact))
     wigner_err = 0.0

@@ -9,11 +9,10 @@ from entrokit.phasespace import PhaseSpace, form
 from entrokit.stabilizer import (
     CLASSICAL,
     QUANTUM,
+    EntropyVector,
     StabilizerState,
-    classical_entropy,
     entropy_vector,
     enumerate_isotropic,
-    quantum_entropy,
     order_identity_check,
     vector_from_orders,
 )
@@ -93,12 +92,13 @@ def test_epr_pair_entropies():
     ps = PhaseSpace(2, 3)
     M = Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, -1]], 3, 4)
     st = StabilizerState(ps, M)
-    assert quantum_entropy(st, 0b01).value == 1.0
-    assert quantum_entropy(st, 0b10).value == 1.0
-    assert quantum_entropy(st, 0b11).value == 0.0
+    vq, vc = entropy_vector(st, QUANTUM), entropy_vector(st, CLASSICAL)
+    assert vq.value(0b01) == 1.0
+    assert vq.value(0b10) == 1.0
+    assert vq.value(0b11) == 0.0
     # phase-space model: H = S + |I|
-    assert classical_entropy(st, 0b01).value == 2.0
-    assert classical_entropy(st, 0b11).value == 2.0
+    assert vc.value(0b01) == 2.0
+    assert vc.value(0b11) == 2.0
 
 
 def test_product_state_entropies():
@@ -106,16 +106,16 @@ def test_product_state_entropies():
     M = Subgroup.from_generators([[0, 1, 0, 0], [0, 0, 0, 1]], 2, 4)
     st = StabilizerState(ps, M)
     for mask in (1, 2, 3):
-        assert quantum_entropy(st, mask).value == 0.0
+        assert entropy_vector(st, QUANTUM).value(mask) == 0.0
 
 
 def test_exact_entropy_is_stored_as_integers():
     ps = PhaseSpace(1, 4)
     st = StabilizerState(ps, Subgroup.from_generators([[2, 0]], 4, 2))
-    e = quantum_entropy(st, 1)
-    assert (e.subset_size, e.subgroup_order, e.d) == (1, 2, 4)
+    vec = entropy_vector(st, QUANTUM)
+    assert (vec.n, vec.d, vec.kind, vec.orders) == (1, 4, QUANTUM, (2,))
     # log_4 2 = 1/2 exactly in this case
-    assert e.value == pytest.approx(0.5, abs=1e-15)
+    assert vec.value(1) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 1), (4, 2)])
@@ -151,7 +151,7 @@ def test_quantum_order_matches_brute_force(d, n, corpus):
         for mask in range(1, 1 << n):
             outside = [c for c in range(ps.m) if c not in ps.coords(mask)]
             count = sum(all(v[c] == 0 for c in outside) for v in st.M.elements())
-            assert quantum_entropy(st, mask).subgroup_order == count
+            assert entropy_vector(st, QUANTUM).orders[mask - 1] == count
 
 
 def classical_images(st):
@@ -165,7 +165,7 @@ def test_classical_order_matches_brute_force(d, n, corpus):
     # |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| against the image of M_perp's elements
     for st in corpus(d, n):
         vec = entropy_vector(st, CLASSICAL)
-        assert {mask: e.subgroup_order for mask, e in vec.entries.items()} == classical_images(st)
+        assert dict(enumerate(vec.orders, 1)) == classical_images(st)
 
 
 def random_isotropic(rng, d, n, k):
@@ -194,8 +194,8 @@ def test_seeded_vectors_match_brute_force(d, n, ranks):
             images = classical_images(st)
             for mask in range(1, 1 << n):
                 outside = [c for c in range(ps.m) if c not in ps.coords(mask)]
-                assert vq.entries[mask].subgroup_order == sum(all(v[c] == 0 for c in outside) for v in elems)
-                assert vc.entries[mask].subgroup_order == images[mask]
+                assert vq.orders[mask - 1] == sum(all(v[c] == 0 for c in outside) for v in elems)
+                assert vc.orders[mask - 1] == images[mask]
 
 
 @pytest.mark.parametrize("n,calls", [(4, 5), (5, 9)])
@@ -216,10 +216,10 @@ def test_entropy_vector_structure():
     st = StabilizerState(ps, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, -1]], 3, 4))
     vq = entropy_vector(st, QUANTUM)
     vc = entropy_vector(st, CLASSICAL)
-    assert set(vq.entries) == {1, 2, 3}
+    assert len(vq.orders) == len(vc.orders) == 3
     for mask in (1, 2, 3):
         k = bin(mask).count("1")
-        assert vc.entries[mask].value == pytest.approx(vq.entries[mask].value + k, abs=1e-12)
+        assert vc.value(mask) == pytest.approx(vq.value(mask) + k, abs=1e-12)
     with pytest.raises(ValueError):
         entropy_vector(st, "bogus")
 
@@ -240,10 +240,31 @@ def test_vector_from_orders_rejects_impossible_orders(orders):
 def test_entropy_rejects_empty_subset():
     ps = PhaseSpace(1, 2)
     st = StabilizerState(ps, Subgroup.from_generators([], 2, 2))
-    with pytest.raises(ValueError):
-        quantum_entropy(st, 0)
-    with pytest.raises(ValueError):
-        classical_entropy(st, 0)
+    for kind in (QUANTUM, CLASSICAL):
+        vec = entropy_vector(st, kind)
+        for mask in (0, 2, 3, -1):  # empty, and at or past 2^n
+            with pytest.raises(ValueError, match="empty or out of range"):
+                vec.value(mask)
+
+
+def test_entropy_vector_needs_one_order_per_nonempty_subset():
+    for orders in ((), (1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="one order per nonempty subset"):
+            EntropyVector(2, 2, QUANTUM, orders)
+    with pytest.raises(ValueError, match="unknown kind"):
+        EntropyVector(2, 2, "bogus", (1, 1, 1))
+
+
+def test_entropy_vector_equality_and_hash_follow_the_orders():
+    ps = PhaseSpace(2, 2)
+    product_state = vector_from_orders(ps, {1: 2, 2: 2, 3: 4}, QUANTUM)
+    mixed = vector_from_orders(ps, {1: 1, 2: 1, 3: 1}, QUANTUM)
+    assert product_state != mixed
+    again = vector_from_orders(ps, {1: 2, 2: 2, 3: 4}, QUANTUM)
+    assert again == product_state and hash(again) == hash(product_state)
+    assert again is not product_state
+    classical = vector_from_orders(ps, {1: 2, 2: 2, 3: 4}, CLASSICAL)
+    assert classical.orders == product_state.orders and classical != product_state
 
 
 def test_composite_modulus_irrational_entropy():
@@ -251,7 +272,7 @@ def test_composite_modulus_irrational_entropy():
     ps = PhaseSpace(2, 4)
     M = Subgroup.from_generators([[2, 0, 2, 0]], 4, 4)
     st = StabilizerState(ps, M)
-    e = quantum_entropy(st, 0b11)
-    assert e.subgroup_order == 2
-    assert e.value == pytest.approx(2 - math.log(2) / math.log(4), abs=1e-12)
+    vec = entropy_vector(st, QUANTUM)
+    assert vec.orders[0b11 - 1] == 2
+    assert vec.value(0b11) == pytest.approx(2 - math.log(2) / math.log(4), abs=1e-12)
     assert order_identity_check(st)
