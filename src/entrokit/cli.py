@@ -5,7 +5,8 @@ explicit seed.  Exit codes: 0 pass, 1 verification failure, 2 usage or input
 error; an unreadable input or unwritable output path is an input error.
 numpy and the modules built on it (``gaussian``, ``oracle``) are
 imported only by the subcommands that use them, so ``enumerate`` and
-``verify`` start without them.
+``verify`` start without them; nothing in the package imports
+``dataclasses``, which would load ``inspect`` on every call.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ def cmd_enumerate(args) -> int:
         return 2
     out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     ps = PhaseSpace(n, d)
-    blocks: dict[tuple[int, ...], tuple[str, ...]] = {}  # quantum orders -> both serialized blocks
+    blocks: dict[tuple[int, ...], tuple[str, ...]] = {}  # raw quantum orders -> both serialized blocks
     with open(out, "w") as fh:
         for idx, st in enumerate(enumerate_isotropic(ps)):
             orders = subsystem_orders(ps, st.M)  # the one kernel run per state
-            vec = vector_from_orders(ps, orders, QUANTUM)
-            if vec.orders not in blocks:
-                both = (vector_from_orders(ps, orders, CLASSICAL), vec)
-                blocks[vec.orders] = tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in both)
-            classical, quantum = blocks[vec.orders]
+            key = tuple(orders.values())  # every state's dict lists the masks in one order
+            if key not in blocks:
+                both = (vector_from_orders(ps, orders, CLASSICAL), vector_from_orders(ps, orders, QUANTUM))
+                blocks[key] = tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in both)
+            classical, quantum = blocks[key]
             gens = json.dumps(st.M.generators())
             # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
             fh.write(
@@ -90,6 +91,14 @@ def _block_orders(rec: dict, kind: str, sizes: list[int]) -> dict[int, int]:
     return orders
 
 
+def _parsed(text: str) -> dict:
+    """``text`` as a JSON object with no key repeated, or {} if it is not one."""
+    try:
+        return json.loads(text, object_pairs_hook=ineq.unique_keys)
+    except ValueError:
+        return {}
+
+
 def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     """One entropy vector of ``kind`` per corpus record, read line by line.
 
@@ -100,15 +109,29 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     most d^|I|), and classical orders equal to the ones it derives,
     d^(2|I|) / |M_I|.  The vector is built once per distinct tuple of quantum
     orders, so records with the same orders share one vector object.
+
+    A record's block texts, before its first ``, "d": `` and after its last
+    ``, "quantum": ``, are kept once it starts ``{"classical": ``, passes every
+    check and each text parses alone to its block.  A record repeating a kept
+    pair byte for byte parses only the text between, which must hold exactly d,
+    generators, index and n, with the file's (d, n); others are read in full.
     """
     d = n = None
     idx = -1
     shared: dict[tuple[int, ...], EntropyVector] = {}
+    kept: dict[tuple[str, str], EntropyVector] = {}  # (classical text, quantum text) -> vector
     with open(path) as fh:
         for line in fh:
             if not line.strip():
                 continue
             idx += 1
+            head, cut, rest = line.partition(', "d": ')
+            mid, cut, tail = rest.rpartition(', "quantum": ') if cut else ("", "", "")
+            if cut and (head, tail) in kept:
+                middle = _parsed('{"d": ' + mid + "}")
+                if middle.keys() == {"d", "generators", "index", "n"} and (middle["d"], middle["n"]) == (d, n):
+                    yield kept[head, tail]
+                    continue
             try:
                 rec = json.loads(line, object_pairs_hook=ineq.unique_keys)
                 if d is None:
@@ -132,6 +155,11 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"record {idx}: {detail}") from None
+            # each block text, completed to a one-key object, must serialize as its block does
+            if cut and line.startswith('{"classical": '):
+                texts = [_parsed(head + "}"), _parsed('{"quantum": ' + tail)]
+                if json.dumps(texts) == json.dumps([{CLASSICAL: rec[CLASSICAL]}, {QUANTUM: rec[QUANTUM]}]):
+                    kept[head, tail] = shared[key]
             yield shared[key]
     if d is None:
         raise ValueError("empty corpus")

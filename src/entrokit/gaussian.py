@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from .inequalities import ingleton
 from .phasespace import chain_orders, particles, subset_size
+from .value import Value
 
 PHYSICALITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
@@ -65,21 +65,16 @@ def _checked_sigma(sigma: np.ndarray, n: int, sigma_vac: float = 0.5) -> np.ndar
     return sigma
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    n: int
-    mu: np.ndarray
-    sigma: np.ndarray
-    sigma_vac: float = 0.5
+class GaussianState(Value):
+    __slots__ = _fields = ("n", "mu", "sigma", "sigma_vac")
 
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        if mu.shape != (2 * self.n,):
-            raise ValueError(f"mu must have shape ({2 * self.n},)")
+    def __init__(self, n: int, mu: np.ndarray, sigma: np.ndarray, sigma_vac: float = 0.5) -> None:
+        mu = np.asarray(mu, dtype=float)
+        if mu.shape != (2 * n,):
+            raise ValueError(f"mu must have shape ({2 * n},)")
         if not np.isfinite(mu).all():
             raise ValueError("mu and sigma must be finite")
-        object.__setattr__(self, "sigma", _checked_sigma(self.sigma, self.n, self.sigma_vac))
+        self._set(n, mu, _checked_sigma(sigma, n, sigma_vac), sigma_vac)
 
     @classmethod
     def vacuum(cls, n: int, sigma_vac: float = 0.5) -> "GaussianState":
@@ -245,14 +240,13 @@ def entropy_vector_gaussian(g: GaussianState) -> dict[int, float]:
 # --- Ingleton violation search -------------------------------------------
 
 
-@dataclass
-class SearchResult:
-    sigma: np.ndarray
-    value: float
-    margin: float
-    seed: int
-    iterations: int
-    found: bool
+class SearchResult(Value):
+    __slots__ = _fields = ("sigma", "value", "margin", "seed", "iterations", "found")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, sigma: np.ndarray, value: float, margin: float, seed: int, iterations: int, found: bool) -> None:
+        self._set(sigma, value, margin, seed, iterations, found)
 
     def to_json(self) -> str:
         return json.dumps(

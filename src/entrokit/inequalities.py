@@ -24,8 +24,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import compress, permutations, repeat
 from operator import is_, lt, mul
 from types import MappingProxyType
@@ -33,6 +32,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .phasespace import subset_size
 from .stabilizer import QUANTUM, EntropyVector
+from .value import Value
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -48,27 +48,27 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class Inequality:
-    n: int
-    nu: Mapping[int, int] = field(compare=False)
-    name: str = ""
+class Inequality(Value):
+    """sum_I nu_I S_I >= 0 on n parties; equality and hash ignore ``nu``.  ``size_weight``
+    is sum nu_I |I|, the d-power the quantum sum carries: S_I = |I| - log_d|M_I|."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("n", "nu", "name", "size_weight")
+    _fields = ("n", "nu", "name")
+
+    def __init__(self, n: int, nu: Mapping[int, int], name: str = "") -> None:
         # read-only, so that a lane table built from it cannot go stale
-        object.__setattr__(self, "nu", MappingProxyType(dict(self.nu)))
-        if not all(isinstance(c, int) for c in self.nu.values()):
+        nu = MappingProxyType(dict(nu))
+        if not all(isinstance(c, int) for c in nu.values()):
             raise ValueError("coefficients must be integers")
-        if not any(self.nu.values()):
+        if not any(nu.values()):
             raise ValueError("inequality must have a nonzero coefficient")
-        for mask in self.nu:
-            if not 1 <= mask < (1 << self.n):
-                raise ValueError(f"subset mask {mask} out of range for n={self.n}")
+        for mask in nu:
+            if not 1 <= mask < (1 << n):
+                raise ValueError(f"subset mask {mask} out of range for n={n}")
+        self._set(n, nu, name, sum(c * subset_size(mask) for mask, c in nu.items()))
 
-    @cached_property
-    def size_weight(self) -> int:
-        """sum nu_I |I|: the d-power the quantum sum carries, S_I = |I| - log_d|M_I|."""
-        return sum(c * subset_size(mask) for mask, c in self.nu.items())
+    def _key(self) -> tuple:
+        return self.n, self.name
 
     def coefficients(self) -> dict[int, int]:
         return {m: c for m, c in sorted(self.nu.items()) if c}
@@ -432,16 +432,16 @@ def instances(family: str, n: int) -> list[Inequality]:
 # --- batch verification ---------------------------------------------------
 
 
-@dataclass
-class Violation:
-    state_id: int
-    inequality: str
-    lhs: int
-    rhs: int
+class Violation(Value):
+    __slots__ = _fields = ("state_id", "inequality", "lhs", "rhs")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, state_id: int, inequality: str, lhs: int, rhs: int) -> None:
+        self._set(state_id, inequality, lhs, rhs)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """The outcome of a batch, held once per distinct entropy vector.
 
     ``vector_ids[k]`` is the id of state k's vector, ids numbered by first
@@ -449,10 +449,12 @@ class VerificationReport:
     inequality that vector v violates, in inequality order.
     """
 
-    name: str
-    min_slack: float = float("inf")
-    vector_ids: array = field(default_factory=lambda: array("I"))
-    failures: list[list[tuple[str, int, int]]] = field(default_factory=list)
+    __slots__ = _fields = ("name", "min_slack", "vector_ids", "failures")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, name: str) -> None:
+        self._set(name, math.inf, array("I"), [])
 
     @property
     def states_checked(self) -> int:

@@ -7,11 +7,11 @@ subsets are passed as bitmasks with particle 1 on the least significant bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from . import zmod
+from .value import Value
 from .zmod import Subgroup
 
 
@@ -31,24 +31,18 @@ def subset_size(mask: int) -> int:
     return bin(mask).count("1")
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
-    n: int
-    d: int
+class PhaseSpace(Value):
+    """Z_d^{2n}: n particles of local dimension d, m = 2n coordinates, subset masks up to ``full_mask``."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one particle, got n={self.n}")
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got d={self.d}")
+    __slots__ = ("n", "d", "m", "full_mask")
+    _fields = ("n", "d")
 
-    @property
-    def m(self) -> int:
-        return 2 * self.n
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+    def __init__(self, n: int, d: int) -> None:
+        if n < 1:
+            raise ValueError(f"need at least one particle, got n={n}")
+        if d < 2:
+            raise ValueError(f"local dimension must be >= 2, got d={d}")
+        self._set(n, d, 2 * n, (1 << n) - 1)
 
     def coords(self, mask: int) -> list[int]:
         """Phase-space columns (p_i, q_i) of the particles in ``mask``."""

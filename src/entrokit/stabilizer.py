@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator
 
 from . import phasespace as phsp
 from .phasespace import PhaseSpace, subset_size
+from .value import Value
 from .zmod import Subgroup
 
 QUANTUM = "quantum"
@@ -32,23 +32,20 @@ ENUMERATION_GUARD = 2**24
 _Entry = namedtuple("_Entry", "subset_size subgroup_order")
 
 
-@dataclass(frozen=True)
-class EntropyVector:
+class EntropyVector(Value):
     """An entropy vector in units of log d, as exact integers: ``orders[mask - 1]``
     is the subgroup order of subset mask, |M_I| for the quantum kind, whose
     S_I = |I| - log_d |M_I|, and |pi_I(M_perp)| for the classical one, whose
     H_I = log_d |pi_I(M_perp)|."""
 
-    n: int
-    d: int
-    kind: str
-    orders: tuple[int, ...]
+    __slots__ = _fields = ("n", "d", "kind", "orders")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (QUANTUM, CLASSICAL):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if len(self.orders) != (1 << self.n) - 1:
+    def __init__(self, n: int, d: int, kind: str, orders: tuple[int, ...]) -> None:
+        if kind not in (QUANTUM, CLASSICAL):
+            raise ValueError(f"unknown kind {kind!r}")
+        if len(orders) != (1 << n) - 1:
             raise ValueError("entropy vector must have one order per nonempty subset")
+        self._set(n, d, kind, orders)
 
     def value(self, mask: int) -> float:
         """The entropy of subset ``mask`` in units of log d."""
@@ -160,7 +157,7 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
         # rows: the HNF rows already chosen, at columns i+1 .. 2n-1; gens: the
         # nontrivial ones, which are their own generators mod d; order: |span|
         if i < 0:
-            yield StabilizerState(ps, Subgroup(d, m, rows))
+            yield StabilizerState(ps, Subgroup(d, m, rows, gens))
             return
         # the subgroup the chosen rows span; its rows at columns <= i are trivial
         below = Subgroup(d, m, trivial[: i + 1] + rows)

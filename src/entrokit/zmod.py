@@ -9,9 +9,10 @@ orders are exact Python integers; nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+from .value import Value
 
 
 def _hermite_rows(rows: Sequence[Sequence[int]], ncols: int, d: int) -> list[list[int]]:
@@ -72,17 +73,20 @@ def _hermite_rows(rows: Sequence[Sequence[int]], ncols: int, d: int) -> list[lis
     return mat[:ncols]
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """A subgroup of Z_d^m, stored as the canonical HNF basis of its lift.
 
     Two subgroups are equal iff their basis tuples are identical; the HNF of a
     full-rank integer lattice is unique, so this is a faithful equality test.
+    ``generators()`` is computed once and kept; a caller that already holds
+    it may pass it in as ``gens``.
     """
 
-    d: int
-    m: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("d", "m", "basis", "_gens")
+    _fields = ("d", "m", "basis")
+
+    def __init__(self, d: int, m: int, basis: tuple[tuple[int, ...], ...], gens: Optional[tuple] = None) -> None:
+        self._set(d, m, basis, gens)
 
     @classmethod
     def from_generators(cls, gens: Iterable[Sequence[int]], d: int, m: int) -> "Subgroup":
@@ -101,32 +105,26 @@ class Subgroup:
 
     def generators(self) -> list[tuple[int, ...]]:
         """Canonical basis rows reduced mod d, trivial rows dropped."""
-        out = []
-        for row in self.basis:
-            g = tuple(x % self.d for x in row)
-            if any(g):
-                out.append(g)
-        return out
-
-    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
-        """The canonical representative of the coset v + M.
-
-        This is the HNF remainder r of v, with 0 <= r_i < basis[i][i]; two
-        vectors lie in the same coset iff their remainders are equal.
-        """
-        if len(v) != self.m:
-            raise ValueError(f"vector of length {len(v)}, expected {self.m}")
-        rem = [x % self.d for x in v]
-        for i in range(self.m):
-            q = rem[i] // self.basis[i][i]
-            if q:
-                row = self.basis[i]
-                for j in range(i, self.m):
-                    rem[j] = (rem[j] - q * row[j]) % self.d
-        return tuple(rem)
+        if self._gens is None:
+            rows = (tuple(x % self.d for x in row) for row in self.basis)
+            object.__setattr__(self, "_gens", tuple(g for g in rows if any(g)))
+        return list(self._gens)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
+        """True iff v reduces to 0 against the basis, column by column.  Each
+        column leaves a remainder in [0, basis[i][i]), so the first nonzero
+        one shows that v is not in M."""
+        if len(v) != self.m:
+            raise ValueError(f"vector of length {len(v)}, expected {self.m}")
+        d, rem = self.d, [x % self.d for x in v]
+        for i, row in enumerate(self.basis):
+            q, r = divmod(rem[i], row[i])
+            if r:
+                return False
+            if q:
+                for j in range(i + 1, self.m):
+                    rem[j] = (rem[j] - q * row[j]) % d
+        return True
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All elements of the subgroup, in a deterministic order."""

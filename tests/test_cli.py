@@ -160,6 +160,93 @@ def test_verify_rejects_malformed_record(outdir, capsys, edit):
     assert not (outdir / "report.json").exists()
 
 
+def repeated_record(lines):
+    """The index of the first record whose two block texts repeat an earlier record's."""
+    seen = set()
+    for k, line in enumerate(lines):
+        head, rest = line.split(', "d": ', 1)
+        blocks = (head, rest.rsplit(', "quantum": ', 1)[1])
+        if blocks in seen:
+            return k
+        seen.add(blocks)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (', "index": {k},', ', "index": {k}, "index": {k},'),
+        (', "d": 2,', ', "d": 3,'),
+        (', "n": 2,', ","),
+        # a key repeated across the record, not within its middle: its last quantum block is still the kept one
+        (', "n": 2,', ', "n": 2, "quantum": {{"entries": [], "kind": "quantum"}},'),
+    ],
+    ids=["repeated-index", "d-3", "missing-n", "repeated-quantum"],
+)
+def test_verify_checks_the_middle_of_a_repeated_record(outdir, capsys, old, new):
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    k = repeated_record(lines)
+    assert k is not None
+    old, new = old.format(k=k), new.format(k=k)
+    assert lines[k].count(old) == 1
+    lines[k] = lines[k].replace(old, new)
+    corpus.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: record {k}: ")
+    assert not (outdir / "report.json").exists()
+
+
+def test_verify_keeps_no_block_text_cut_inside_a_block(outdir, capsys):
+    # record 0 is valid, but its first ', "d": ' lies inside its classical block; record 1
+    # repeats the text around that cut and is not JSON, so it must still be read in full
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    line = corpus.read_text().splitlines()[0]
+    first = line.replace('"kind": "classical"}', '"kind": "classical", "z": {"y": 0, "d": 2}}', 1)
+    head = first.split(', "d": ', 1)[0]
+    second = head + ', "d": 2, "generators": [], "index": 1, "n": 2, "quantum": ' + line.rsplit(', "quantum": ', 1)[1]
+    corpus.write_text(first + "\n" + second + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert capsys.readouterr().err.startswith("error: record 1: ")
+
+
+def test_verify_parses_each_repeated_record_only_in_its_middle(outdir, monkeypatch):
+    import entrokit.cli as cli
+
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
+    blocks = cli._block_orders
+    calls = []
+    monkeypatch.setattr(cli, "_block_orders", lambda *a: calls.append(a[1]) or blocks(*a))
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 0
+    assert read_lines(outdir / "report.json")[0]["states_checked"] == 514
+    assert len(calls) == 2 * 26  # both blocks of each of the 26 distinct vectors, once
+
+
+def test_verify_report_does_not_depend_on_the_corpus_layout(outdir, capsys):
+    # reversed keys and compact separators: no record takes the repeated-block path
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
+    other = outdir / "other.json"
+    with open(other, "w") as fh:
+        for rec in read_lines(corpus):
+            fh.write(json.dumps(dict(reversed(rec.items())), separators=(",", ":")) + "\n")
+    reports = 0
+    for family in ("monotonicity", "ssa", "weak_monotonicity", "ingleton", "zhang_yeung"):
+        for kind in ("quantum", "classical"):
+            runs = []
+            for path in (corpus, other):
+                out = outdir / f"{path.stem}_{family}_{kind}.json"
+                rc = main(["verify", "--corpus", str(path), "--family", family, "--kind", kind, "--out", str(out)])
+                runs.append((rc, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+            assert runs[0] == runs[1]
+            reports += runs[0][2] is not None
+    assert reports == 6  # ingleton needs n >= 4 and zhang_yeung n = 4
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -327,11 +414,14 @@ def test_gaussian_ingleton_search(outdir):
 
 
 def test_cli_import_does_not_load_numpy():
+    # against the bare interpreter's modules: what site loads differs by host
     src = os.path.dirname(os.path.dirname(entrokit.__file__))
-    code = "import sys, entrokit.cli; print('numpy' in sys.modules)"
+    code = "import sys; bare = set(sys.modules); import entrokit.cli; print(*sorted(set(sys.modules) - bare))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    added = set(out.stdout.split())
+    assert "entrokit.cli" in added
+    assert not added & {"numpy", "dataclasses", "inspect"}
 
 
 def test_enumerate_and_verify_run_without_numpy(outdir):

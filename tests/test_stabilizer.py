@@ -74,6 +74,22 @@ def test_enumeration_makes_no_hnf_call(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("d,n", [(2, 3), (4, 2), (6, 2)])
+def test_enumerated_generators_are_the_basis_generators(d, n, corpus):
+    # the enumerator hands each subgroup the nontrivial HNF rows it holds as generators
+    for st in corpus(d, n):
+        assert st.M.generators() == Subgroup(d, 2 * n, st.M.basis).generators()
+
+
+def test_passed_in_generators_are_still_checked_for_isotropy():
+    ps = PhaseSpace(1, 3)
+    full = Subgroup.from_generators([[1, 0], [0, 1]], 3, 2)
+    with pytest.raises(ValueError, match="not isotropic"):
+        StabilizerState(ps, Subgroup(3, 2, full.basis, ((1, 0), (0, 1))))
+    half = Subgroup.from_generators([[1, 0]], 3, 2)
+    assert StabilizerState(ps, Subgroup(3, 2, half.basis, ((1, 0),))).M == half
+
+
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         list(enumerate_isotropic(PhaseSpace(6, 5)))  # 5^12 > 2^24

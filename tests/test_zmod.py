@@ -73,19 +73,20 @@ def test_canonical_basis_is_a_normal_form(case):
 
 @settings(max_examples=60, deadline=None)
 @given(generated_subgroup(), st.data())
-def test_reduce_is_the_canonical_coset_representative(case, data):
+def test_contains_is_coset_membership_of_any_integer_vector(case, data):
     d, m, gens = case
     S = Subgroup.from_generators(gens, d, m)
     elems = closure(gens, d, m)
+    assert set(S.elements()) == elems
     v = [data.draw(st.integers(min_value=-2 * d, max_value=2 * d)) for _ in range(m)]
-    r = S.reduce(v)
-    assert tuple((a - b) % d for a, b in zip(r, v)) in elems
-    assert S.reduce(r) == r
-    assert (not any(r)) == (tuple(x % d for x in v) in elems)
-    assert all(0 <= r[i] < S.basis[i][i] for i in range(m))
-    # every member of the coset v + S has the same representative
+    assert S.contains(v) == (tuple(x % d for x in v) in elems)
+    # membership is constant on the coset v + S, and v - w lies in S iff w is in v + S
     w = data.draw(st.sampled_from(sorted(elems)))
-    assert S.reduce([a + b for a, b in zip(v, w)]) == r
+    assert S.contains([a + b for a, b in zip(v, w)]) == S.contains(v)
+    u = [data.draw(st.integers(min_value=0, max_value=d - 1)) for _ in range(m)]
+    assert S.contains([a - b for a, b in zip(v, u)]) == any(
+        tuple((a + b) % d for a, b in zip(u, e)) == tuple(x % d for x in v) for e in S.elements()
+    )
 
 
 def test_elements_enumerates_each_exactly_once():
