@@ -20,12 +20,13 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from . import inequalities as ineq
-from .phasespace import PhaseSpace, particles, subset_size, subsystem_orders
+from .phasespace import PhaseSpace, subset_size, subsystem_orders
 from .stabilizer import (
     CLASSICAL,
     ENUMERATION_GUARD,
     QUANTUM,
     EntropyVector,
+    StabilizerState,
     enumerate_isotropic,
     vector_from_orders,
 )
@@ -60,16 +61,15 @@ def cmd_enumerate(args) -> int:
         return 2
     out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     ps = PhaseSpace(n, d)
-    blocks: dict[tuple[int, ...], tuple[str, ...]] = {}  # raw quantum orders -> both serialized blocks
+    blocks: dict[tuple[int, ...], tuple[str, ...]] = {}  # quantum orders -> both serialized blocks
     with open(out, "w") as fh:
-        for idx, st in enumerate(enumerate_isotropic(ps)):
-            orders = subsystem_orders(ps, st.M)  # the one kernel run per state
-            key = tuple(orders.values())  # every state's dict lists the masks in one order
-            if key not in blocks:
+        for idx, M in enumerate(enumerate_isotropic(ps)):
+            orders = subsystem_orders(ps, M)  # the one kernel run per state
+            if orders not in blocks:
                 both = (vector_from_orders(ps, orders, CLASSICAL), vector_from_orders(ps, orders, QUANTUM))
-                blocks[key] = tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in both)
-            classical, quantum = blocks[key]
-            gens = json.dumps(st.M.generators())
+                blocks[orders] = tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in both)
+            classical, quantum = blocks[orders]
+            gens = json.dumps(M.generators())
             # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
             fh.write(
                 f'{{"classical": {classical}, "d": {d}, "generators": {gens}, "index": {idx},'
@@ -79,8 +79,8 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _block_orders(rec: dict, kind: str, sizes: list[int]) -> dict[int, int]:
-    """mask -> order of one block: masks 1..2^n - 1, integer masks, sizes and orders, size == popcount(mask)."""
+def _block_orders(rec: dict, kind: str, sizes: list[int]) -> tuple[int, ...]:
+    """One block's orders at ``mask - 1``: masks 1..2^n - 1, integer masks, sizes and orders, size == popcount(mask)."""
     entries = rec[kind]["entries"]
     orders = {e["mask"]: e["order"] for e in entries}
     if len(entries) != len(sizes) - 1 or sorted(orders) != list(range(1, len(sizes))):
@@ -88,7 +88,7 @@ def _block_orders(rec: dict, kind: str, sizes: list[int]) -> dict[int, int]:
     for e in entries:
         if not type(e["mask"]) is type(e["size"]) is type(e["order"]) is int or e["size"] != sizes[e["mask"]]:
             raise ValueError(f"{kind} entry {e}: needs integer mask, size and order, and size == popcount(mask)")
-    return orders
+    return tuple(orders[mask] for mask in range(1, len(sizes)))
 
 
 def _parsed(text: str) -> dict:
@@ -107,8 +107,8 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     the file, both blocks well formed (see _block_orders), quantum orders that
     ``vector_from_orders`` accepts (each |M_I| a divisor of d^(2|I|) and at
     most d^|I|), and classical orders equal to the ones it derives,
-    d^(2|I|) / |M_I|.  The vector is built once per distinct tuple of quantum
-    orders, so records with the same orders share one vector object.
+    d^(2|I|) / |M_I|.  Each record read in full gets its own vector;
+    ``verify_batch`` evaluates each distinct tuple of orders once.
 
     A record's block texts, before its first ``, "d": `` and after its last
     ``, "quantum": ``, are kept once it starts ``{"classical": ``, passes every
@@ -118,7 +118,6 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     """
     d = n = None
     idx = -1
-    shared: dict[tuple[int, ...], EntropyVector] = {}
     kept: dict[tuple[str, str], EntropyVector] = {}  # (classical text, quantum text) -> vector
     with open(path) as fh:
         for line in fh:
@@ -141,16 +140,14 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                     if d ** (2 * n) > ENUMERATION_GUARD:
                         raise ValueError(f"d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}")
                     sizes = [subset_size(mask) for mask in range(1 << n)]
-                    fulls = [d ** (2 * size) for size in sizes]
+                    fulls = [d ** (2 * size) for size in sizes[1:]]
                     ps = PhaseSpace(n, d)
                 elif (rec["d"], rec["n"]) != (d, n):
                     raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
                 quantum = _block_orders(rec, QUANTUM, sizes)
                 classical = _block_orders(rec, CLASSICAL, sizes)
-                key = tuple(quantum[mask] for mask in range(1, 1 << n))
-                if key not in shared:
-                    shared[key] = vector_from_orders(ps, quantum, kind)
-                if any(classical[mask] * quantum[mask] != fulls[mask] for mask in range(1, 1 << n)):
+                vec = vector_from_orders(ps, quantum, kind)
+                if any(c * q != full for c, q, full in zip(classical, quantum, fulls)):
                     raise ValueError("classical orders are not d^(2|I|) / quantum orders")
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
@@ -159,8 +156,8 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
             if cut and line.startswith('{"classical": '):
                 texts = [_parsed(head + "}"), _parsed('{"quantum": ' + tail)]
                 if json.dumps(texts) == json.dumps([{CLASSICAL: rec[CLASSICAL]}, {QUANTUM: rec[QUANTUM]}]):
-                    kept[head, tail] = shared[key]
-            yield shared[key]
+                    kept[head, tail] = vec
+            yield vec
     if d is None:
         raise ValueError("empty corpus")
 
@@ -222,7 +219,8 @@ def cmd_oracle_check(args) -> int:
     fh = open(out, "w")  # before the work, so that a bad --out fails at once
     try:
         with fh:
-            for chunk in oracle.chunks(enumerate_isotropic(ps), ps):
+            states = (StabilizerState(ps, M) for M in enumerate_isotropic(ps))  # each one checked
+            for chunk in oracle.chunks(states, ps):
                 checks["states"] += len(chunk)
                 for key, errs in oracle.cross_check(chunk).items():
                     checks[key] = max(checks[key], float(errs.max()))
@@ -265,7 +263,7 @@ def cmd_gaussian(args) -> int:
                 a = rng.standard_normal((2 * n, 2 * n + 2))
                 g = gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n))
                 for mask in range(1, 1 << n):
-                    k = len(particles(mask))
+                    k = subset_size(mask)
                     s2 = gsn.renyi2_quantum(g, mask)
                     for alpha in (0.5, 2.0, 3.0):
                         via = gsn.renyi_alpha_classical(g, mask, alpha) - k * gsn.renyi_correction(alpha)

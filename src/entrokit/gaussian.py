@@ -113,11 +113,10 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _chain_gather(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+def _chain_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions in Sigma of the mode-permuted Sigma for each order of
-    ``chain_orders(n)``, every nonempty mask in increasing order, and the flat
-    (order, prefix length) position of each mask's first prefix.  The arrays
-    are read-only."""
+    ``chain_orders(n)``, and at ``mask - 1`` the flat (order, prefix length)
+    position of the first prefix that is mask.  The arrays are read-only."""
     orders = chain_orders(n)
     cols = np.array([[c for x in pi for c in (2 * x, 2 * x + 1)] for pi in orders])
     first: dict[int, int] = {}
@@ -126,9 +125,8 @@ def _chain_gather(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
         for k, x in enumerate(pi):
             mask |= 1 << x
             first.setdefault(mask, o * n + k)
-    masks = tuple(sorted(first))
     gather = cols[:, :, None] * (2 * n) + cols[:, None, :]
-    return _frozen(gather), masks, _frozen(np.array([first[m] for m in masks]))
+    return _frozen(gather), _frozen(np.array([first[mask] for mask in range(1, 1 << n)]))
 
 
 def _chain_logdets(sigma: np.ndarray, n: int) -> np.ndarray:
@@ -139,26 +137,26 @@ def _chain_logdets(sigma: np.ndarray, n: int) -> np.ndarray:
     factor Sigma_I for the prefix set I = pi(0..k-1), so log det Sigma_I is the
     sum of 2 log L_ii over them.
     """
-    gather, _, _ = _chain_gather(n)
+    gather, _ = _chain_gather(n)
     diag = np.diagonal(_cholesky(sigma.take(gather)), axis1=1, axis2=2)
     return np.cumsum(2 * np.log(diag), axis=1)[:, 1::2].ravel()
 
 
-def subsystem_logdets(sigma: np.ndarray, n: int) -> dict[int, float]:
-    """mask -> log det Sigma_mask for every nonempty mask, read from ``_chain_logdets``.
+def subsystem_logdets(sigma: np.ndarray, n: int) -> tuple[float, ...]:
+    """log det Sigma_mask at ``mask - 1`` for every nonempty mask, read from ``_chain_logdets``.
 
     The prefix sets of the chain orders are the complements of the suffix
     sets, which cover every nonempty subset.  Sigma gets the shared check,
     ``_checked_sigma``.
     """
     sigma = _checked_sigma(sigma, n)
-    _, masks, at = _chain_gather(n)
-    return dict(zip(masks, _chain_logdets(sigma, n)[at].tolist()))
+    _, at = _chain_gather(n)
+    return tuple(_chain_logdets(sigma, n)[at].tolist())
 
 
 def _renyi2_entries(g: GaussianState) -> dict[int, float]:
     shift = math.log(g.sigma_vac)
-    return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in subsystem_logdets(g.sigma, g.n).items()}
+    return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in enumerate(subsystem_logdets(g.sigma, g.n), 1)}
 
 
 def _check_mask(g: GaussianState, mask: int) -> None:
@@ -170,7 +168,7 @@ def _half_log_det(g: GaussianState, mask: int) -> float:
     """(1/2) log det Sigma_I, read from ``subsystem_logdets``, so a Sigma that is
     not positive definite raises on every mask."""
     _check_mask(g, mask)
-    return 0.5 * subsystem_logdets(g.sigma, g.n)[mask]
+    return 0.5 * subsystem_logdets(g.sigma, g.n)[mask - 1]
 
 
 def renyi2_quantum(g: GaussianState, mask: int) -> float:
@@ -265,9 +263,8 @@ class SearchResult(Value):
 def _ingleton_terms() -> tuple[tuple[int, int, int], ...]:
     """(nu_I, position of log det Sigma_I in ``_chain_logdets(sigma, 4)``, |I|)
     for each term of ingleton(4, 1, 2, 4, 8), in ``nu`` order."""
-    _, masks, at = _chain_gather(4)
-    where = dict(zip(masks, at.tolist()))
-    return tuple((c, where[mask], subset_size(mask)) for mask, c in ingleton(4, 1, 2, 4, 8).nu.items())
+    at = _chain_gather(4)[1].tolist()
+    return tuple((c, at[mask - 1], subset_size(mask)) for mask, c in ingleton(4, 1, 2, 4, 8).nu.items())
 
 
 def ingleton_value(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:

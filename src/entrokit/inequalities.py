@@ -318,9 +318,6 @@ def mutual_information(nu: dict[int, int], I: int, J: int, c: int = 1) -> None:
 
 def conditional_mutual_information(nu: dict[int, int], I: int, J: int, K: int, c: int = 1) -> None:
     """Accumulate c * I(I:J|K) = c * (S_{IK} + S_{JK} - S_K - S_{IJK})."""
-    if not K:
-        mutual_information(nu, I, J, c)
-        return
     _add(nu, I | K, c)
     _add(nu, J | K, c)
     _add(nu, K, -c)

@@ -117,8 +117,9 @@ def chain_orders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> dict[int, int]:
-    """mask -> |S ∩ V_mask| for every nonempty mask, V_mask the vectors supported on mask.
+def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:
+    """|S ∩ V_mask| at ``mask - 1`` for every nonempty mask, V_mask the vectors
+    supported on mask: the ``orders`` of S's quantum ``EntropyVector``.
 
     With S's particles permuted by an order pi of ``chain_orders``, HNF rows
     2s onward span S ∩ V_I for I = pi(s..n-1), so |S ∩ V_I| is the product of
@@ -129,7 +130,7 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> dict[int, int]:
         raise ValueError("subgroup does not live in the given phase space")
     d, n = ps.d, ps.n
     gens = S.generators()
-    out = {}
+    out = [0] * ps.full_mask
     for pi in chain_orders(n):
         basis = S.basis
         if pi != tuple(range(n)):
@@ -139,5 +140,5 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> dict[int, int]:
         for s in range(n - 1, -1, -1):
             order *= (d // basis[2 * s][2 * s]) * (d // basis[2 * s + 1][2 * s + 1])
             mask |= 1 << pi[s]
-            out[mask] = order
-    return out
+            out[mask - 1] = order
+    return tuple(out)

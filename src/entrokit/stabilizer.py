@@ -9,6 +9,8 @@ C(n, floor(n/2)) HNFs) gives both vectors: the quantum order is
 annihilator of M ∩ V_I in V_I.  So no vector needs M_perp.  M_perp is kept for
 the check of that identity: ``order_identity_check`` counts
 |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| from M_perp itself.
+``enumerate_isotropic`` yields bare ``Subgroup``s, isotropic by construction;
+``StabilizerState`` checks isotropy, for a subgroup from anywhere else.
 """
 
 from __future__ import annotations
@@ -78,12 +80,6 @@ class StabilizerState:
     def perp(self) -> Subgroup:
         return phsp.symplectic_complement(self.ps, self.M)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StabilizerState) and self.M == other.M
-
-    def __hash__(self) -> int:
-        return hash(self.M)
-
 
 def order_identity_check(st: StabilizerState) -> bool:
     """S = H - |I| for every nonempty I, as the exact order identity
@@ -92,24 +88,24 @@ def order_identity_check(st: StabilizerState) -> bool:
     M_perp, since pi_I on M_perp has kernel M_perp ∩ V_Ibar."""
     ps = st.ps
     inside = phsp.subsystem_orders(ps, st.M)
-    perp_inside = phsp.subsystem_orders(ps, st.perp)
+    perp_inside = (1,) + phsp.subsystem_orders(ps, st.perp)  # indexed by mask, |M_perp ∩ V_0| = 1
     return all(
-        st.perp.order * q == ps.d ** (2 * subset_size(mask)) * perp_inside.get(ps.full_mask ^ mask, 1)
-        for mask, q in inside.items()
+        st.perp.order * q == ps.d ** (2 * subset_size(mask)) * perp_inside[ps.full_mask ^ mask]
+        for mask, q in enumerate(inside, 1)
     )
 
 
-def vector_from_orders(ps: PhaseSpace, orders: dict[int, int], kind: str) -> EntropyVector:
-    """The entropy vector of ``kind`` from the quantum orders, mask -> |M_I|;
-    the one place an ``EntropyVector`` is built.
+def vector_from_orders(ps: PhaseSpace, orders: tuple[int, ...], kind: str) -> EntropyVector:
+    """The entropy vector of ``kind`` from the quantum orders, |M_I| at ``mask - 1``
+    as ``subsystem_orders`` gives them; the one place an ``EntropyVector`` is built.
 
     Each |M_I| must divide d^{2|I|} and be at most d^{|I|}, as the order of an
     isotropic subgroup of V_I is.  The classical order is
     |pi_I(M_perp)| = d^{2|I|} / |M_I| by the order identity.
     """
     d, out = ps.d, []
-    for mask in range(1, 1 << ps.n):
-        size, q = subset_size(mask), orders[mask]
+    for mask, q in enumerate(orders, 1):
+        size = subset_size(mask)
         full = d ** (2 * size)
         if not (0 < q <= d**size and full % q == 0):
             raise ValueError(f"mask {mask}: order {q} is not a divisor of d^{2 * size} at most d^{size}")
@@ -121,8 +117,9 @@ def entropy_vector(st: StabilizerState, kind: str = QUANTUM) -> EntropyVector:
     return vector_from_orders(st.ps, phsp.subsystem_orders(st.ps, st.M), kind)
 
 
-def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
-    """Every isotropic subgroup of Z_d^{2n}, each exactly once.
+def enumerate_isotropic(ps: PhaseSpace) -> Iterator[Subgroup]:
+    """Every isotropic subgroup of Z_d^{2n}, each exactly once, as a bare
+    ``Subgroup``: the construction below makes it isotropic.
 
     Orderly generation over the canonical form (R. C. Read, "Every one a
     winner", 1978): each subgroup is built directly as its HNF basis, the
@@ -153,11 +150,11 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[StabilizerState]:
 
     def rows_from(
         i: int, rows: tuple[tuple[int, ...], ...], gens: tuple[tuple[int, ...], ...], order: int
-    ) -> Iterator[StabilizerState]:
+    ) -> Iterator[Subgroup]:
         # rows: the HNF rows already chosen, at columns i+1 .. 2n-1; gens: the
         # nontrivial ones, which are their own generators mod d; order: |span|
         if i < 0:
-            yield StabilizerState(ps, Subgroup(d, m, rows, gens))
+            yield Subgroup(d, m, rows, gens)
             return
         # the subgroup the chosen rows span; its rows at columns <= i are trivial
         below = Subgroup(d, m, trivial[: i + 1] + rows)

@@ -1,17 +1,19 @@
 import pytest
 
 from entrokit.phasespace import PhaseSpace
-from entrokit.stabilizer import QUANTUM, enumerate_isotropic
+from entrokit.stabilizer import QUANTUM, StabilizerState, enumerate_isotropic
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    """Cached enumeration of all isotropic subgroups per (d, n)."""
+    """Cached enumeration of all isotropic subgroups per (d, n), each wrapped
+    in a ``StabilizerState``, so its isotropy is checked."""
     cache = {}
 
     def get(d, n):
         if (d, n) not in cache:
-            cache[(d, n)] = list(enumerate_isotropic(PhaseSpace(n, d)))
+            ps = PhaseSpace(n, d)
+            cache[(d, n)] = [StabilizerState(ps, M) for M in enumerate_isotropic(ps)]
         return cache[(d, n)]
 
     return get

@@ -347,6 +347,22 @@ def test_enumerate_makes_one_kernel_run_per_state(outdir, monkeypatch, d, n, sta
     assert len(calls) == states * (chains - 1)
 
 
+def test_isotropy_is_checked_by_oracle_check_alone(outdir, monkeypatch):
+    # the enumerator's subgroups are isotropic by construction; only the states
+    # handed to the dense oracle are checked again, one call each
+    import entrokit.phasespace as phsp
+
+    calls = []
+    isotropic = phsp.is_isotropic
+    monkeypatch.setattr(phsp, "is_isotropic", lambda ps, M: calls.append(M) or isotropic(ps, M))
+    for d, n, states in ((2, 3, 514), (6, 2, 2511)):
+        assert main(["enumerate", "--d", str(d), "--n", str(n)]) == 0
+        assert len(read_lines(outdir / f"corpus_d{d}_n{n}.json")) == states
+    assert calls == []
+    assert main(["oracle-check", "--d", "3", "--n", "1"]) == 0
+    assert read_lines(outdir / "oracle_check_d3_n1.json")[0]["states"] == len(calls) == 5
+
+
 def test_verify_missing_corpus(outdir, capsys):
     assert main(["verify", "--corpus", str(outdir / "nope.json"), "--family", "ssa"]) == 2
     assert "error" in capsys.readouterr().err

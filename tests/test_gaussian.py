@@ -55,8 +55,8 @@ def test_subsystem_logdets_match_eigvalsh():
         for _ in range(5):
             sigma = random_physical(rng, n).sigma
             logdets = gsn.subsystem_logdets(sigma, n)
-            assert list(logdets) == list(range(1, 1 << n))
-            for mask, value in logdets.items():
+            assert type(logdets) is tuple and len(logdets) == (1 << n) - 1
+            for mask, value in enumerate(logdets, 1):
                 idx = [c for i in range(n) if mask >> i & 1 for c in (2 * i, 2 * i + 1)]
                 assert abs(value - eigvalsh_logdet(sigma[np.ix_(idx, idx)])) < 1e-12
 
@@ -314,7 +314,7 @@ def test_physicality_margin_rejects_a_sigma_that_is_not_2n_by_2n(shape):
 
 
 def test_shared_caches_are_read_only():
-    gather, _, at = gsn._chain_gather(4)
+    gather, at = gsn._chain_gather(4)
     for cached in (gsn.symplectic_matrix(4), gsn._vacuum_term(4, 0.5), gather, at):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0

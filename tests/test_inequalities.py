@@ -344,11 +344,7 @@ def distinct_vectors(corpus, d, n, kind):
     """Every distinct entropy vector of ``kind`` among the states at (d, n)."""
     if (d, n) not in _ORDERS:
         ps = PhaseSpace(n, d)
-        seen = {}
-        for st in corpus(d, n):
-            orders = subsystem_orders(ps, st.M)
-            seen.setdefault(tuple(orders[mask] for mask in range(1, 1 << n)), orders)
-        _ORDERS[(d, n)] = list(seen.values())
+        _ORDERS[(d, n)] = list(dict.fromkeys(subsystem_orders(ps, st.M) for st in corpus(d, n)))
     return [vector_from_orders(PhaseSpace(n, d), orders, kind) for orders in _ORDERS[(d, n)]]
 
 
@@ -379,7 +375,7 @@ def test_kernel_matches_reference_on_random_orders(d, n, kind):
     qs = [ineq.Inequality(n, {m: rng.randint(-3, 3) or 1 for m in rng.sample(masks, 3)}, f"q{j}") for j in range(40)]
     qs += [qs[0], qs[5]]  # repeated members keep their own lanes
     for _ in range(60):
-        vec = vector_from_orders(ps, {m: rng.choice(divs) for m, divs in zip(masks, divisors)}, kind)
+        vec = vector_from_orders(ps, tuple(rng.choice(divs) for divs in divisors), kind)
         assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
 
 
@@ -392,7 +388,7 @@ def test_kernel_factors_orders_over_many_primes():
     qs = [ineq.Inequality(n, {m: rng.randint(-3, 3) or 1 for m in rng.sample(masks, 3)}, f"q{j}") for j in range(30)]
     for kind in (QUANTUM, CLASSICAL):
         for _ in range(10):
-            orders = {m: math.prod(p ** rng.randint(0, subset_size(m)) for p in primes) for m in masks}
+            orders = tuple(math.prod(p ** rng.randint(0, subset_size(m)) for p in primes) for m in masks)
             vec = vector_from_orders(PhaseSpace(n, d), orders, kind)
             assert ineq._evaluate(qs, vec) == reference_low(qs, vec)
     for order in (17, 2**3, 0):  # another prime; 2^3 beyond 2^(2|I|) = 4; not an order
@@ -404,7 +400,7 @@ def test_kernel_factors_orders_over_many_primes():
 def test_kernel_least_ratio_is_exact_at_a_near_tie():
     # S = (log_6 3, log_6 2, 0): 306 S_1 - 485 S_2 = log_6(3^306 / 2^485), about -6e-4, is the
     # least, just below S_12 = 0; a sum of rounded logs with 2^16 steps orders the two the other way
-    vec = vector_from_orders(PhaseSpace(2, 6), {1: 2, 2: 3, 3: 36}, QUANTUM)
+    vec = vector_from_orders(PhaseSpace(2, 6), (2, 3, 36), QUANTUM)
     near, zero = ineq.Inequality(2, {1: 306, 2: -485}, "near"), ineq.Inequality(2, {3: 1}, "zero")
     for qs in ([near, zero], [zero, near]):
         failures, low = ineq._evaluate(qs, vec)
@@ -417,8 +413,8 @@ def test_kernel_lanes_hold_the_largest_exponents(d):
     # every order at its largest: |M_I| = d^|I| (quantum), d^(2|I|) (classical, trivial M)
     ps = PhaseSpace(2, d)
     vectors = [
-        vector_from_orders(ps, {1: d, 2: d, 3: d * d}, QUANTUM),
-        vector_from_orders(ps, {1: 1, 2: 1, 3: 1}, CLASSICAL),
+        vector_from_orders(ps, (d, d, d * d), QUANTUM),
+        vector_from_orders(ps, (1, 1, 1), CLASSICAL),
     ]
     for c in (1, 40, 80, 1000):
         qs = [

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from entrokit.phasespace import PhaseSpace, form
+from entrokit.phasespace import PhaseSpace, form, is_isotropic
 from entrokit.stabilizer import (
     CLASSICAL,
     QUANTUM,
@@ -51,8 +51,9 @@ def test_maximal_isotropic_count_prime_d(d, n, corpus):
 
 def test_enumeration_is_deterministic_and_duplicate_free():
     ps = PhaseSpace(2, 3)
-    a = [st.M for st in enumerate_isotropic(ps)]
-    b = [st.M for st in enumerate_isotropic(ps)]
+    a = list(enumerate_isotropic(ps))
+    b = list(enumerate_isotropic(ps))
+    assert all(type(M) is Subgroup for M in a)
     assert a == b
     assert len(set(a)) == len(a)
 
@@ -60,7 +61,9 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 @pytest.mark.parametrize("d,n", sorted(EXPECTED_COUNTS))
 def test_enumerated_bases_are_their_own_hnf(d, n, corpus):
     # with the frozen counts, distinctness and isotropy this pins the whole set
+    ps = PhaseSpace(n, d)
     for st in corpus(d, n):
+        assert is_isotropic(ps, st.M)
         assert Subgroup.from_generators(st.M.basis, d, 2 * n).basis == st.M.basis
 
 
@@ -242,7 +245,7 @@ def test_entropy_vector_structure():
 
 @pytest.mark.parametrize(
     "orders",
-    [{1: 0, 2: 1, 3: 1}, {1: 4, 2: 1, 3: 4}, {1: 1, 2: 1, 3: 3}],
+    [(0, 1, 1), (4, 1, 4), (1, 1, 3)],
     ids=["order-0", "above-d^|I|", "not-a-divisor"],
 )
 def test_vector_from_orders_rejects_impossible_orders(orders):
@@ -250,7 +253,7 @@ def test_vector_from_orders_rejects_impossible_orders(orders):
     for kind in (QUANTUM, CLASSICAL):
         with pytest.raises(ValueError, match="is not a divisor"):
             vector_from_orders(PhaseSpace(2, 2), orders, kind)
-    assert vector_from_orders(PhaseSpace(2, 2), {1: 1, 2: 2, 3: 4}, CLASSICAL).orders == (4, 2, 4)
+    assert vector_from_orders(PhaseSpace(2, 2), (1, 2, 4), CLASSICAL).orders == (4, 2, 4)
 
 
 def test_entropy_rejects_empty_subset():
@@ -273,13 +276,13 @@ def test_entropy_vector_needs_one_order_per_nonempty_subset():
 
 def test_entropy_vector_equality_and_hash_follow_the_orders():
     ps = PhaseSpace(2, 2)
-    product_state = vector_from_orders(ps, {1: 2, 2: 2, 3: 4}, QUANTUM)
-    mixed = vector_from_orders(ps, {1: 1, 2: 1, 3: 1}, QUANTUM)
+    product_state = vector_from_orders(ps, (2, 2, 4), QUANTUM)
+    mixed = vector_from_orders(ps, (1, 1, 1), QUANTUM)
     assert product_state != mixed
-    again = vector_from_orders(ps, {1: 2, 2: 2, 3: 4}, QUANTUM)
+    again = vector_from_orders(ps, (2, 2, 4), QUANTUM)
     assert again == product_state and hash(again) == hash(product_state)
     assert again is not product_state
-    classical = vector_from_orders(ps, {1: 2, 2: 2, 3: 4}, CLASSICAL)
+    classical = vector_from_orders(ps, (2, 2, 4), CLASSICAL)
     assert classical.orders == product_state.orders and classical != product_state
 
 
