@@ -101,6 +101,8 @@ def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
 @lru_cache(maxsize=None)
 def chain_orders(n: int) -> tuple[tuple[int, ...], ...]:
     """C(n, floor(n/2)) particle orders whose suffix sets cover every nonempty subset.
+    Only the Gaussian side reads them: ``gaussian._chain_gather`` permutes Sigma
+    by each, so one stacked Cholesky gives log det Sigma_I for every subset.
 
     de Bruijn's symmetric chains (de Bruijn, van Ebbenhorst Tengbergen and Kruyswijk, 1951):
     particle x turns a chain A_1 < ... < A_k into A_1 < ... < A_k < A_k + {x} and, if
@@ -121,24 +123,38 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:
     """|S ∩ V_mask| at ``mask - 1`` for every nonempty mask, V_mask the vectors
     supported on mask: the ``orders`` of S's quantum ``EntropyVector``.
 
-    With S's particles permuted by an order pi of ``chain_orders``, HNF rows
-    2s onward span S ∩ V_I for I = pi(s..n-1), so |S ∩ V_I| is the product of
-    d / h_ii over them.  The identity order's HNF is ``S.basis`` itself; the
-    others are read straight from ``zmod._hermite_rows``, no ``Subgroup`` built.
+    |S ∩ V_I| = |S| / |pi_J(S)| for J the complement of I, since the projection
+    pi_J has kernel S ∩ V_I on S.  The |pi_J(S)| come from a depth-first walk
+    over the proper nonempty J, each grown from its parent by one particle y
+    above the parent's largest, x.  A node's rows span, with d*Z, the vectors
+    of S that vanish on J, cut to the columns of the particles above its
+    largest.  The child J + y cuts them to the columns from y's pair on and
+    eliminates that pair with ``zmod._eliminate``, each column together with
+    its row d*e_c.  The pivots h_p, h_q give
+    |pi_{J+y}(S)| = |pi_J(S)| * (d / h_p) * (d / h_q), and the rows left,
+    cut past y's pair, are the child's.  That is 2^n - 2 two-column steps,
+    with no HNF; exact for every d and every subgroup, isotropic or not.
     """
     if S.m != ps.m or S.d != ps.d:
         raise ValueError("subgroup does not live in the given phase space")
-    d, n = ps.d, ps.n
-    gens = S.generators()
-    out = [0] * ps.full_mask
-    for pi in chain_orders(n):
-        basis = S.basis
-        if pi != tuple(range(n)):
-            cols = [c for x in pi for c in (2 * x, 2 * x + 1)]
-            basis = zmod._hermite_rows([[g[c] for c in cols] for g in gens], ps.m, d)
-        order, mask = 1, 0
-        for s in range(n - 1, -1, -1):
-            order *= (d // basis[2 * s][2 * s]) * (d // basis[2 * s + 1][2 * s + 1])
-            mask |= 1 << pi[s]
-            out[mask - 1] = order
+    d, n, full_mask = ps.d, ps.n, ps.full_mask
+    total = S.order
+    out = [0] * full_mask
+    out[-1] = total
+    # (J, its largest particle, |pi_J(S)|, its rows)
+    stack = [(0, -1, 1, [list(g) for g in S.generators()])]
+    while stack:
+        mask, x, proj, rows = stack.pop()
+        for y in range(x + 1, n):
+            child = mask | 1 << y
+            if child == full_mask:
+                break
+            width = 2 * (n - y)
+            mat = [row[2 * (y - x - 1) :] for row in rows]
+            mat.append([d] + [0] * (width - 1))
+            mat.append([0, d] + [0] * (width - 2))
+            size = proj * (d // zmod._eliminate(mat, 0, 0, d)) * (d // zmod._eliminate(mat, 1, 1, d))
+            out[(full_mask ^ child) - 1] = total // size
+            if y < n - 1:
+                stack.append((child, y, size, [row[2:] for row in mat[2:] if any(row[2:])]))
     return tuple(out)

@@ -1,13 +1,13 @@
 """Entropy vectors of stabilizer states from the subgroup description alone.
 
 A vector is stored exactly as its tuple of subgroup orders, one per nonempty
-subset; decimal values only appear at the I/O boundary.  One run of the chain
-kernel ``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every subset I from
-C(n, floor(n/2)) HNFs) gives both vectors: the quantum order is
-|M_I| = |M ∩ V_I|, and the classical one follows from the order identity
-|M_I| * |pi_I(M_perp)| = d^{2|I|}, which holds because pi_I(M_perp) is the
-annihilator of M ∩ V_I in V_I.  So no vector needs M_perp.  M_perp is kept for
-the check of that identity: ``order_identity_check`` counts
+subset; decimal values only appear at the I/O boundary.  One run of the
+subset-tree kernel ``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every
+subset I from 2^n - 2 two-column eliminations) gives both vectors: the
+quantum order is |M_I| = |M ∩ V_I|, and the classical one follows from the
+order identity |M_I| * |pi_I(M_perp)| = d^{2|I|}, which holds because
+pi_I(M_perp) is the annihilator of M ∩ V_I in V_I.  So no vector needs
+M_perp.  M_perp is kept for the check of that identity: ``order_identity_check`` counts
 |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| from M_perp itself.
 ``enumerate_isotropic`` yields bare ``Subgroup``s, isotropic by construction;
 ``StabilizerState`` checks isotropy, for a subgroup from anywhere else.
@@ -34,6 +34,15 @@ ENUMERATION_GUARD = 2**24
 _Entry = namedtuple("_Entry", "subset_size subgroup_order")
 
 
+def _check_orders(n: int, orders: tuple[int, ...]) -> None:
+    """A tuple of ints, one per nonempty subset; a dict or a list is refused,
+    since iterating a mask -> order dict would yield the masks."""
+    if type(orders) is not tuple or any(type(q) is not int for q in orders):
+        raise ValueError(f"orders must be a tuple of ints, got {type(orders).__name__}")
+    if len(orders) != (1 << n) - 1:
+        raise ValueError("entropy vector must have one order per nonempty subset")
+
+
 class EntropyVector(Value):
     """An entropy vector in units of log d, as exact integers: ``orders[mask - 1]``
     is the subgroup order of subset mask, |M_I| for the quantum kind, whose
@@ -45,8 +54,7 @@ class EntropyVector(Value):
     def __init__(self, n: int, d: int, kind: str, orders: tuple[int, ...]) -> None:
         if kind not in (QUANTUM, CLASSICAL):
             raise ValueError(f"unknown kind {kind!r}")
-        if len(orders) != (1 << n) - 1:
-            raise ValueError("entropy vector must have one order per nonempty subset")
+        _check_orders(n, orders)
         self._set(n, d, kind, orders)
 
     def value(self, mask: int) -> float:
@@ -103,6 +111,7 @@ def vector_from_orders(ps: PhaseSpace, orders: tuple[int, ...], kind: str) -> En
     isotropic subgroup of V_I is.  The classical order is
     |pi_I(M_perp)| = d^{2|I|} / |M_I| by the order identity.
     """
+    _check_orders(ps.n, orders)
     d, out = ps.d, []
     for mask, q in enumerate(orders, 1):
         size = subset_size(mask)

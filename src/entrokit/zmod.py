@@ -15,6 +15,42 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .value import Value
 
 
+def _eliminate(mat: list[list[int]], top: int, col: int, d: int) -> int:
+    """One column of an HNF, in place: Euclid on column ``col`` of ``mat[top:]``.
+
+    The rows hold entries mod d, are zero before ``col``, and include d*e_col.
+    The smallest nonzero entry is swapped to ``mat[top]`` and reduces the rows
+    below it mod d until it divides them all; it is returned as the pivot, the
+    gcd of the column and d, and the rows below ``top`` are left zero at ``col``.
+    """
+    nrows = len(mat)
+    while True:
+        best = -1
+        best_val = d + 1
+        for idx in range(top, nrows):
+            a = mat[idx][col]
+            if a and a < best_val:
+                best, best_val = idx, a
+        if best != top:
+            mat[top], mat[best] = mat[best], mat[top]
+        prow = mat[top]
+        piv = prow[col]
+        ncols = len(prow)
+        clean = True
+        for idx in range(top + 1, nrows):
+            a = mat[idx][col]
+            if not a:
+                continue
+            q = a // piv
+            if a - q * piv:
+                clean = False
+            row = mat[idx]
+            for j in range(col, ncols):
+                row[j] = (row[j] - q * prow[j]) % d
+        if clean:
+            return piv
+
+
 def _hermite_rows(rows: Sequence[Sequence[int]], ncols: int, d: int) -> list[list[int]]:
     """Hermite normal form of the lattice spanned by ``rows`` plus d*Z^ncols.
 
@@ -30,46 +66,16 @@ def _hermite_rows(rows: Sequence[Sequence[int]], ncols: int, d: int) -> list[lis
         e[i] = d
         mat.append(e)
 
-    top = 0
-    nrows = len(mat)
     for col in range(ncols):
-        while True:
-            best = -1
-            best_val = d + 1
-            for idx in range(top, nrows):
-                a = mat[idx][col]
-                if a and a < best_val:
-                    best, best_val = idx, a
-            if best < 0:
-                break
-            if best != top:
-                mat[top], mat[best] = mat[best], mat[top]
-            piv = mat[top][col]
-            prow = mat[top]
-            clean = True
-            for idx in range(top + 1, nrows):
-                a = mat[idx][col]
-                if not a:
-                    continue
-                q = a // piv
-                if a - q * piv:
-                    clean = False
-                row = mat[idx]
-                for j in range(col, ncols):
-                    row[j] = (row[j] - q * prow[j]) % d
-            if clean:
-                break
         # full rank is guaranteed by the appended d*I rows
-        piv = mat[top][col]
-        prow = mat[top]
-        for idx in range(top):
-            a = mat[idx][col]
-            q = a // piv
+        piv = _eliminate(mat, col, col, d)
+        prow = mat[col]
+        for idx in range(col):
+            q = mat[idx][col] // piv
             if q:
                 row = mat[idx]
                 for j in range(col, ncols):
                     row[j] = (row[j] - q * prow[j]) % d
-        top += 1
     return mat[:ncols]
 
 

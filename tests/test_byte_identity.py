@@ -2,17 +2,21 @@
 
 A change to the enumerator, the subsystem kernel, the corpus reader or the
 verification kernel must leave these outputs the same byte for byte; a digest
-that moves is a change of output, to be explained or undone.  The digests
-were taken from the outputs before the subgroup stream carried bare
-``Subgroup``s and mask-indexed order tuples.  oracle-check reports are left
-out: their float errors depend on the BLAS build.
+that moves is a change of output, to be explained or undone.  The corpus and
+report digests were taken from the outputs before the subgroup stream carried
+bare ``Subgroup``s and mask-indexed order tuples; the order digests at n >= 4,
+from the chain-order HNF kernel that the subset-tree kernel replaced.
+oracle-check reports are left out: their float errors depend on the BLAS build.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from entrokit.cli import main
+from entrokit.phasespace import PhaseSpace, form, subsystem_orders
+from entrokit.zmod import Subgroup
 
 CORPORA = {
     (2, 3): "a29df39ea32c21d3b751bb296df053430a6b3630e64a9b63d84ad212752eb91a",
@@ -55,3 +59,51 @@ def test_corpus_and_reports_are_byte_identical(d, n, tmp_path, capsys):
             assert main(argv) == rc
             assert sha256(report) == digest, (family, kind)
     assert capsys.readouterr().err == ""
+
+
+# digest of the quantum orders, one line per subgroup: every (2,4) state in
+# enumeration order, and 60 seeded isotropic subgroups at each larger size
+ORDERS = {
+    (2, 4): "7783d02c8f6282165544b3aeaa7666bc9047afdb0d9ab539c5061ff7e7826ace",
+    (2, 5): "fac4bc44465da18c9b81a59fd76e55c8fc35ab26e6df2bae5bf4296b91cebcb3",
+    (3, 4): "5cb7e78f1612d21c6169840c58a7c209b628f72e54f47c2e10f5a7292ab676a7",
+    (6, 4): "e8a66de1e3a8e83a150eb505e4ba6633eaada7ea708b16d8d94a5b517dc66012",
+}
+
+
+def orders_digest(ps, subgroups):
+    h = hashlib.sha256()
+    for M in subgroups:
+        h.update((" ".join(map(str, subsystem_orders(ps, M))) + "\n").encode())
+    return h.hexdigest()
+
+
+def seeded_isotropic(d, n, count):
+    """Up to n pairwise-orthogonal random generators each, found by rejection;
+    half of them scaled by a random divisor of d, so that at d = 6 some
+    subgroups are not free."""
+    rng = random.Random(f"orders-{d}-{n}")
+    divisors = [c for c in range(1, d + 1) if d % c == 0]
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(0, n)):
+            c = 1 if rng.random() < 0.5 else rng.choice(divisors)
+            while True:
+                v = [c * rng.randrange(d) % d for _ in range(2 * n)]
+                if not any(form(v, g) % d for g in gens):
+                    break
+            gens.append(v)
+        out.append(Subgroup.from_generators(gens, d, 2 * n))
+    return out
+
+
+def test_orders_of_every_qubit_state_at_n4_are_byte_identical(corpus):
+    assert orders_digest(PhaseSpace(4, 2), [st.M for st in corpus(2, 4)]) == ORDERS[(2, 4)]
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (6, 4)])
+def test_orders_of_seeded_subgroups_are_byte_identical(d, n):
+    subgroups = seeded_isotropic(d, n, 60)
+    assert {M.order for M in subgroups} >= {1, d**n}
+    assert orders_digest(PhaseSpace(n, d), subgroups) == ORDERS[(d, n)]

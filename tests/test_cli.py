@@ -333,18 +333,22 @@ def test_enumerate_builds_no_complement(outdir, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("d,n,states,chains", [(2, 3, 514, 3), (4, 2, 517, 2)])
-def test_enumerate_makes_one_kernel_run_per_state(outdir, monkeypatch, d, n, states, chains):
-    # one subsystem_orders run on M per state: C(n, floor(n/2)) chain orders, the
-    # identity's HNF being M.basis itself
+@pytest.mark.parametrize("d,n,states", [(2, 3, 514), (4, 2, 517)])
+def test_enumerate_makes_one_kernel_run_per_state(outdir, monkeypatch, d, n, states):
+    # one subsystem_orders run on each enumerated M, and the subset-tree kernel
+    # computes no HNF: nothing in enumerate calls _hermite_rows
+    import entrokit.cli as cli
     import entrokit.zmod as zmod
 
-    calls = []
-    hermite = zmod._hermite_rows
-    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: calls.append(a) or hermite(*a))
+    runs, hnfs = [], []
+    kernel, hermite = cli.subsystem_orders, zmod._hermite_rows
+    monkeypatch.setattr(cli, "subsystem_orders", lambda ps, M: runs.append(M) or kernel(ps, M))
+    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: hnfs.append(a) or hermite(*a))
     assert main(["enumerate", "--d", str(d), "--n", str(n)]) == 0
-    assert len(read_lines(outdir / f"corpus_d{d}_n{n}.json")) == states
-    assert len(calls) == states * (chains - 1)
+    records = read_lines(outdir / f"corpus_d{d}_n{n}.json")
+    assert len(records) == len(runs) == len(set(runs)) == states
+    assert [M.generators() for M in runs] == [[tuple(g) for g in r["generators"]] for r in records]
+    assert hnfs == []
 
 
 def test_isotropy_is_checked_by_oracle_check_alone(outdir, monkeypatch):

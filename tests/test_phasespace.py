@@ -137,6 +137,31 @@ def test_complement_rejects_a_foreign_subgroup():
             symplectic_complement(ps, M)
 
 
+def brute_orders(ps, M):
+    """|M ∩ V_mask| at mask - 1, counted over the elements by their support."""
+    support = [0] * (ps.full_mask + 1)
+    for v in M.elements():
+        support[sum(1 << i for i in range(ps.n) if v[2 * i] or v[2 * i + 1])] += 1
+    return tuple(
+        sum(c for sub, c in enumerate(support) if sub & mask == sub) for mask in range(1, ps.full_mask + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "d,n", [(d, n) for d in (2, 3, 4, 6, 8, 12) for n in (1, 2)] + [(2, 3), (3, 3)]
+)
+def test_subsystem_orders_match_brute_force_on_random_subgroups(d, n):
+    # isotropic or not, free or not (composite d), as M_perp is for a mixed M
+    ps = PhaseSpace(n, d)
+    subgroups = random_subgroups(d, n, 30)
+    subgroups += [symplectic_complement(ps, M) for M in subgroups]
+    assert any(not is_isotropic(ps, M) for M in subgroups)
+    for M in subgroups:
+        assert subsystem_orders(ps, M) == brute_orders(ps, M)
+    whole = Subgroup(d, 2 * n, tuple(tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)))
+    assert subsystem_orders(ps, whole) == tuple(d ** (2 * subset_size(mask)) for mask in range(1, 1 << n))
+
+
 def test_subsystem_orders_rejects_a_foreign_subgroup():
     M = Subgroup.from_generators([[1, 1, 0, 0]], 3, 4)
     for ps in (PhaseSpace(2, 2), PhaseSpace(1, 3), PhaseSpace(3, 3)):

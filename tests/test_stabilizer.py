@@ -217,17 +217,20 @@ def test_seeded_vectors_match_brute_force(d, n, ranks):
                 assert vc.orders[mask - 1] == images[mask]
 
 
-@pytest.mark.parametrize("n,calls", [(4, 5), (5, 9)])
-def test_quantum_vector_hnf_calls(monkeypatch, n, calls):
-    # C(n, floor(n/2)) chain orders, the identity's HNF being M.basis itself
+@pytest.mark.parametrize("n", [4, 5])
+def test_quantum_vector_makes_no_hnf_call(monkeypatch, n):
+    # the subset-tree kernel: no HNF, and 2^n - 2 two-column steps, each
+    # clearing columns 0 and 1 of the rows cut for its node
     import entrokit.zmod as zmod
 
     st = random_isotropic(random.Random(n), 2, n, n)
-    seen = []
-    hermite = zmod._hermite_rows
-    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: seen.append(a) or hermite(*a))
+    hnfs, steps = [], []
+    hermite, eliminate = zmod._hermite_rows, zmod._eliminate
+    monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: hnfs.append(a) or hermite(*a))
+    monkeypatch.setattr(zmod, "_eliminate", lambda mat, top, col, d: steps.append((top, col)) or eliminate(mat, top, col, d))
     entropy_vector(st, QUANTUM)
-    assert len(seen) == calls
+    assert hnfs == []
+    assert steps == [(0, 0), (1, 1)] * (2**n - 2)
 
 
 def test_entropy_vector_structure():
@@ -254,6 +257,20 @@ def test_vector_from_orders_rejects_impossible_orders(orders):
         with pytest.raises(ValueError, match="is not a divisor"):
             vector_from_orders(PhaseSpace(2, 2), orders, kind)
     assert vector_from_orders(PhaseSpace(2, 2), (1, 2, 4), CLASSICAL).orders == (4, 2, 4)
+
+
+@pytest.mark.parametrize("orders", [{1: 6, 2: 6, 3: 36}, [6, 6, 36], (6, 6.0, 36), (6, True, 36)], ids=["dict", "list", "float", "bool"])
+def test_orders_must_be_a_tuple_of_ints(orders):
+    # a mask -> order dict iterates as its masks (1, 2, 3), which pass every
+    # other check at d = 6
+    ps = PhaseSpace(2, 6)
+    for kind in (QUANTUM, CLASSICAL):
+        with pytest.raises(ValueError, match="orders must be a tuple of ints"):
+            vector_from_orders(ps, orders, kind)
+        with pytest.raises(ValueError, match="orders must be a tuple of ints"):
+            EntropyVector(2, 6, kind, orders)
+    assert vector_from_orders(ps, (1, 2, 3), QUANTUM).orders == (1, 2, 3)
+    assert vector_from_orders(ps, (6, 6, 36), QUANTUM).orders == (6, 6, 36)
 
 
 def test_entropy_rejects_empty_subset():
