@@ -7,13 +7,13 @@ choice consistent with the Wigner normalization, and the quantum Renyi-2
 entropy is S_2(rho_I) = (1/2) log det(Sigma_I / sigma_vac).  All entropies
 here are in nats.
 
-Every log det Sigma_I comes from one stacked Cholesky over the chain orders
-(``_chain_logdets``).  ``subsystem_logdets`` reads it for every mask, and the
-per-mask entropies read that.  The Ingleton search scores each candidate with
-``ingleton_value``, a fused kernel on the same log dets that reads the Ingleton
-terms from a table built once per process.  One Sigma check (``_checked_sigma``)
-serves ``GaussianState``, ``ingleton_value``, ``subsystem_logdets`` and the
-search's start.  The cached arrays are read-only.
+Every log det Sigma_I comes from one stacked Cholesky in ``_logdets``, of
+Sigma with the rows and columns outside I set to the identity's.
+``subsystem_logdets`` asks it for every mask, the per-mask entropies and
+``mc_renyi2`` for Sigma_I and Sigma, and the search's ``ingleton_value`` for
+the Ingleton's terms and Sigma.  One Sigma check (``_checked_sigma``) serves
+``GaussianState``, ``ingleton_value``, ``subsystem_logdets`` and the search's
+start.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .inequalities import ingleton
-from .phasespace import chain_orders, particles, subset_size
+from .phasespace import subset_size
 from .value import Value
 
 PHYSICALITY_TOL = 1e-9
@@ -80,12 +80,6 @@ class GaussianState(Value):
     def vacuum(cls, n: int, sigma_vac: float = 0.5) -> "GaussianState":
         return cls(n, np.zeros(2 * n), sigma_vac * np.eye(2 * n), sigma_vac)
 
-    def submatrix(self, mask: int) -> np.ndarray:
-        idx = []
-        for i in particles(mask):
-            idx.extend((2 * i, 2 * i + 1))
-        return self.sigma[np.ix_(idx, idx)]
-
 
 @lru_cache(maxsize=None)
 def _vacuum_term(n: int, sigma_vac: float) -> np.ndarray:
@@ -104,54 +98,41 @@ def physicality_margin(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
         raise ValueError("physicality margin: eigenvalues did not converge") from None
 
 
-def _cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a matrix or a stack of them; the positive-definiteness check."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance submatrix is not positive definite") from None
+def _keep(n: int, masks) -> np.ndarray:
+    """Boolean stack, row k true on the block Sigma_I of I = ``masks[k]``."""
+    modes = np.array(masks)[:, None] >> np.arange(n) & 1
+    coords = np.repeat(modes, 2, axis=1).astype(bool)
+    return coords[:, :, None] & coords[:, None, :]
 
 
 @lru_cache(maxsize=None)
-def _chain_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in Sigma of the mode-permuted Sigma for each order of
-    ``chain_orders(n)``, and at ``mask - 1`` the flat (order, prefix length)
-    position of the first prefix that is mask.  The arrays are read-only."""
-    orders = chain_orders(n)
-    cols = np.array([[c for x in pi for c in (2 * x, 2 * x + 1)] for pi in orders])
-    first: dict[int, int] = {}
-    for o, pi in enumerate(orders):
-        mask = 0
-        for k, x in enumerate(pi):
-            mask |= 1 << x
-            first.setdefault(mask, o * n + k)
-    gather = cols[:, :, None] * (2 * n) + cols[:, None, :]
-    return _frozen(gather), _frozen(np.array([first[mask] for mask in range(1, 1 << n)]))
+def _subsystem_keep(n: int) -> np.ndarray:
+    """``_keep`` of every nonempty mask, at ``mask - 1`` (read-only)."""
+    return _frozen(_keep(n, range(1, 1 << n)))
 
 
-def _chain_logdets(sigma: np.ndarray, n: int) -> np.ndarray:
-    """log det Sigma_I for every prefix set I of every order of ``chain_orders(n)``,
-    flat in (order, prefix length) order, from one stacked Cholesky.
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    return _frozen(np.eye(dim))
 
-    With Sigma's mode pairs permuted by an order pi, Cholesky rows 0 .. 2k-1
-    factor Sigma_I for the prefix set I = pi(0..k-1), so log det Sigma_I is the
-    sum of 2 log L_ii over them.
+
+def _logdets(sigma: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """log det Sigma_I for each row I of the stack ``keep``; the positive-definiteness check.
+
+    Sigma with the rows and columns outside I set to the identity's has the
+    Cholesky diagonal of Sigma_I with ones in between: log det Sigma_I is the
+    sum of 2 log L_ii.
     """
-    gather, _ = _chain_gather(n)
-    diag = np.diagonal(_cholesky(sigma.take(gather)), axis1=1, axis2=2)
-    return np.cumsum(2 * np.log(diag), axis=1)[:, 1::2].ravel()
+    try:
+        chol = np.linalg.cholesky(np.where(keep, sigma, _identity(len(sigma))))
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance submatrix is not positive definite") from None
+    return 2 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
 def subsystem_logdets(sigma: np.ndarray, n: int) -> tuple[float, ...]:
-    """log det Sigma_mask at ``mask - 1`` for every nonempty mask, read from ``_chain_logdets``.
-
-    The prefix sets of the chain orders are the complements of the suffix
-    sets, which cover every nonempty subset.  Sigma gets the shared check,
-    ``_checked_sigma``.
-    """
-    sigma = _checked_sigma(sigma, n)
-    _, at = _chain_gather(n)
-    return tuple(_chain_logdets(sigma, n)[at].tolist())
+    """log det Sigma_mask at ``mask - 1`` for every nonempty mask, on the checked Sigma."""
+    return tuple(_logdets(_checked_sigma(sigma, n), _subsystem_keep(n)).tolist())
 
 
 def _renyi2_entries(g: GaussianState) -> dict[int, float]:
@@ -159,16 +140,12 @@ def _renyi2_entries(g: GaussianState) -> dict[int, float]:
     return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in enumerate(subsystem_logdets(g.sigma, g.n), 1)}
 
 
-def _check_mask(g: GaussianState, mask: int) -> None:
+def _half_log_det(g: GaussianState, mask: int) -> float:
+    """(1/2) log det Sigma_I, factored with Sigma so that a Sigma that is not
+    positive definite raises on every mask; the stack is not cached."""
     if not 0 < mask < 1 << g.n:
         raise ValueError(f"mode subset {mask} is empty or out of range")
-
-
-def _half_log_det(g: GaussianState, mask: int) -> float:
-    """(1/2) log det Sigma_I, read from ``subsystem_logdets``, so a Sigma that is
-    not positive definite raises on every mask."""
-    _check_mask(g, mask)
-    return 0.5 * subsystem_logdets(g.sigma, g.n)[mask - 1]
+    return 0.5 * float(_logdets(g.sigma, _keep(g.n, (mask, (1 << g.n) - 1)))[0])
 
 
 def renyi2_quantum(g: GaussianState, mask: int) -> float:
@@ -204,19 +181,18 @@ def mc_renyi2(
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of H_2(X_I) = -log int W^2, with standard error.
 
-    Importance sampling with W itself: E_W[W] = int W^2.  Returns the
-    estimate of H_2 and a jackknife standard error; deterministic per seed.
+    Importance sampling with W itself: E_W[W] = int W^2, with whitened draws
+    and W's norm from ``_half_log_det``.  Returns the estimate of H_2 and a
+    jackknife standard error; deterministic per seed.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError("need at least 10^4 samples")
-    _check_mask(g, mask)
-    sigma = g.submatrix(mask)
-    dim = sigma.shape[0]
-    chol = _cholesky(sigma)
-    # a draw x = L z of W, centred, has x^T Sigma^-1 x = z^T z
+    half_log_det = _half_log_det(g, mask)  # checks the mask first
+    dim = 2 * subset_size(mask)
+    lognorm = -0.5 * dim * math.log(2 * math.pi) - half_log_det
+    # a draw x = L z of W, centred, with L L^T = Sigma_I, has x^T Sigma_I^-1 x = z^T z
     z = np.random.default_rng(seed).standard_normal((samples, dim))
     quad = np.einsum("ij,ij->i", z, z)
-    lognorm = -0.5 * dim * math.log(2 * math.pi) - float(np.log(np.diagonal(chol)).sum())
     w = np.exp(lognorm - 0.5 * quad)
     mean = w.mean()
     est = -math.log(mean)
@@ -260,23 +236,27 @@ class SearchResult(Value):
 
 
 @lru_cache(maxsize=None)
-def _ingleton_terms() -> tuple[tuple[int, int, int], ...]:
-    """(nu_I, position of log det Sigma_I in ``_chain_logdets(sigma, 4)``, |I|)
-    for each term of ingleton(4, 1, 2, 4, 8), in ``nu`` order."""
-    at = _chain_gather(4)[1].tolist()
-    return tuple((c, at[mask - 1], subset_size(mask)) for mask, c in ingleton(4, 1, 2, 4, 8).nu.items())
+def _ingleton_keep() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """``_keep`` (read-only) of the masks of ingleton(4, 1, 2, 4, 8)'s nonzero terms
+    in ``nu`` order, then of the full mask, so a Sigma that is not a state
+    raises; and (nu_I, |I|) per term.  The terms of C and D cancel to 0."""
+    terms = [(mask, c) for mask, c in ingleton(4, 1, 2, 4, 8).nu.items() if c]
+    keep = _keep(4, [mask for mask, _ in terms] + [15])
+    return _frozen(keep), tuple((c, subset_size(mask)) for mask, c in terms)
 
 
 def ingleton_value(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
     """The Ingleton combination on the Renyi-2 entropy vector of a 4-mode Sigma.
 
-    One checked Sigma and one stacked Cholesky per call; the sum is
+    One checked Sigma and one ``_logdets`` call per call; the sum is
     ``evaluate_float`` of ``ingleton(4, 1, 2, 4, 8)`` on the entries
-    S_2(I) = (1/2) log det Sigma_I - |I| log sigma_vac, term by term in ``nu`` order.
+    S_2(I) = (1/2) log det Sigma_I - |I| log sigma_vac, term by term in ``nu``
+    order, less the two terms whose coefficient is 0.
     """
-    logdets = _chain_logdets(_checked_sigma(sigma, 4, sigma_vac), 4).tolist()
+    keep, terms = _ingleton_keep()
+    logdets = _logdets(_checked_sigma(sigma, 4, sigma_vac), keep).tolist()
     shift = math.log(sigma_vac)
-    return sum(c * (0.5 * logdets[at] - size * shift) for c, at, size in _ingleton_terms())
+    return sum(c * (0.5 * ld - size * shift) for (c, size), ld in zip(terms, logdets))
 
 
 def _project_physical(sigma: np.ndarray) -> np.ndarray:

@@ -249,8 +249,8 @@ def wigner(rho: np.ndarray, ps: PhaseSpace) -> np.ndarray:
 
 def wigner_marginal(W: np.ndarray, ps: PhaseSpace, mask: int) -> np.ndarray:
     """Sum W over the phase-space coordinates outside the particles in I."""
-    if not mask:
-        raise ValueError("empty particle subset")
+    if not 0 < mask <= ps.full_mask:
+        raise ValueError(f"particle subset {mask} is empty or out of range")
     if W.shape != (ps.d,) * ps.m:
         raise ValueError(f"expected a Wigner table of shape {(ps.d,) * ps.m}, got {W.shape}")
     keep = ps.coords(mask)

@@ -7,7 +7,6 @@ subsets are passed as bitmasks with particle 1 on the least significant bit.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from . import zmod
@@ -17,6 +16,8 @@ from .zmod import Subgroup
 
 def particles(mask: int) -> list[int]:
     """0-based particle indices selected by a bitmask."""
+    if mask < 0:
+        raise ValueError(f"particle subset {mask} is negative")
     out = []
     i = 0
     while mask:
@@ -96,27 +97,6 @@ def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
             X[i][j] = -sum(X[i][k] * B[k][j] for k in range(i, j)) // B[j][j]
     gens = [[X[k + 1][j] if k % 2 == 0 else -X[k - 1][j] for k in range(m)] for j in range(m)]
     return Subgroup.from_generators(gens, d, m)
-
-
-@lru_cache(maxsize=None)
-def chain_orders(n: int) -> tuple[tuple[int, ...], ...]:
-    """C(n, floor(n/2)) particle orders whose suffix sets cover every nonempty subset.
-    Only the Gaussian side reads them: ``gaussian._chain_gather`` permutes Sigma
-    by each, so one stacked Cholesky gives log det Sigma_I for every subset.
-
-    de Bruijn's symmetric chains (de Bruijn, van Ebbenhorst Tengbergen and Kruyswijk, 1951):
-    particle x turns a chain A_1 < ... < A_k into A_1 < ... < A_k < A_k + {x} and, if
-    k > 1, A_1 + {x} < ... < A_{k-1} + {x}.  Each chain, extended to a maximal one, is read
-    back to front as an order; adding x from n-1 down makes the first order the identity.
-    """
-    chains = [((), ())]  # (A_1, the particles added along the chain)
-    for x in range(n - 1, -1, -1):
-        chains = [(base, up + (x,)) for base, up in chains] + [(base + (x,), up[:-1]) for base, up in chains if up]
-    orders = []
-    for base, up in chains:
-        seq = base + up
-        orders.append(tuple(reversed(seq + tuple(x for x in range(n) if x not in seq))))
-    return tuple(orders)
 
 
 def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:

@@ -49,6 +49,12 @@ def eigvalsh_logdet(mat):
     return float(np.log(np.linalg.eigvalsh(mat)).sum())
 
 
+def block(sigma, mask):
+    """Sigma_I, the rows and columns of the modes in mask."""
+    idx = [c for i in range(len(sigma) // 2) if mask >> i & 1 for c in (2 * i, 2 * i + 1)]
+    return sigma[np.ix_(idx, idx)]
+
+
 def test_subsystem_logdets_match_eigvalsh():
     rng = np.random.default_rng(21)
     for n in range(1, 6):
@@ -57,24 +63,38 @@ def test_subsystem_logdets_match_eigvalsh():
             logdets = gsn.subsystem_logdets(sigma, n)
             assert type(logdets) is tuple and len(logdets) == (1 << n) - 1
             for mask, value in enumerate(logdets, 1):
-                idx = [c for i in range(n) if mask >> i & 1 for c in (2 * i, 2 * i + 1)]
-                assert abs(value - eigvalsh_logdet(sigma[np.ix_(idx, idx)])) < 1e-12
+                assert abs(value - eigvalsh_logdet(block(sigma, mask))) < 1e-12
 
 
-def test_ingleton_value_is_one_cholesky(monkeypatch):
-    calls = {"cholesky": 0, "eigvalsh": 0}
+def count_linalg_calls(monkeypatch):
+    """Count np.linalg.cholesky and eigvalsh calls, with the shape of each argument."""
+    calls = {"cholesky": [], "eigvalsh": []}
     for name in calls:
         inner = getattr(np.linalg, name)
 
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
+        def counted(a, *args, _inner=inner, _name=name, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _inner(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_ingleton_value_is_one_cholesky(monkeypatch):
+    calls = count_linalg_calls(monkeypatch)
     with open(FIXTURE) as fh:
         sigma = np.array(json.load(fh)["Sigma"])
     gsn.ingleton_value(sigma)
-    assert calls == {"cholesky": 1, "eigvalsh": 0}
+    # the 10 nonzero Ingleton terms and the full Sigma
+    assert calls == {"cholesky": [(11, 8, 8)], "eigvalsh": []}
+
+
+def test_per_mask_entropy_factors_only_sigma_i_and_sigma(monkeypatch):
+    g = random_physical(np.random.default_rng(30), 4)
+    calls = count_linalg_calls(monkeypatch)
+    value = gsn.renyi2_quantum(g, 0b0101)
+    assert calls == {"cholesky": [(2, 8, 8)], "eigvalsh": []}
+    assert abs(value - (0.5 * eigvalsh_logdet(block(g.sigma, 0b0101)) - 2 * math.log(0.5))) < 1e-12
 
 
 def test_non_positive_definite_sigma_raises_value_error():
@@ -196,7 +216,7 @@ def test_mc_matches_unwhitened_formula():
     g, mask = _mc_fixture("correlated")
     samples, seed = 10**4, 7
     # the estimator before whitening: draw x = L z and form x^T Sigma^-1 x
-    sigma = g.submatrix(mask)
+    sigma = block(g.sigma, mask)
     dim = sigma.shape[0]
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((samples, dim)) @ np.linalg.cholesky(sigma).T
@@ -278,6 +298,8 @@ def _sigma_with(*edits):
         (_sigma_with(((0, 1), 1e-9)), 0.5, "not symmetric"),
         (np.eye(8), 0.7, "sigma_vac must be 1/2 or 1"),
         (_sigma_with(((5, 5), -1.0)), 0.5, "not positive definite"),
+        # every block of three modes is positive definite, Sigma is not
+        (np.eye(8) - 0.15, 0.5, "not positive definite"),
     ],
 )
 def test_ingleton_value_rejects_bad_sigma(sigma, sigma_vac, match):
@@ -314,8 +336,8 @@ def test_physicality_margin_rejects_a_sigma_that_is_not_2n_by_2n(shape):
 
 
 def test_shared_caches_are_read_only():
-    gather, at = gsn._chain_gather(4)
-    for cached in (gsn.symplectic_matrix(4), gsn._vacuum_term(4, 0.5), gather, at):
+    keep, _ = gsn._ingleton_keep()
+    for cached in (gsn.symplectic_matrix(4), gsn._vacuum_term(4, 0.5), gsn._subsystem_keep(4), keep):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0
 
@@ -347,7 +369,7 @@ def test_ingleton_search_trajectory_matches_eigvalsh_reference(monkeypatch):
 
     def reference(sigma, sigma_vac=0.5):
         g = gsn.GaussianState(4, np.zeros(8), sigma, sigma_vac)
-        evals = {m: np.linalg.eigvalsh(g.submatrix(m)) for m in q.nu}
+        evals = {m: np.linalg.eigvalsh(block(g.sigma, m)) for m in q.nu}
         if min(e.min() for e in evals.values()) <= 0:
             raise ValueError("covariance submatrix is not positive definite")
         return evaluate_float(

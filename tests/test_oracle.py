@@ -215,6 +215,14 @@ def test_wigner_marginal_commutes_with_partial_trace(corpus):
         oracle.wigner_marginal(W, sub, 1)  # a two-particle table read as one particle
 
 
+def test_wigner_marginal_rejects_a_mask_out_of_range():
+    ps = PhaseSpace(2, 3)
+    W = np.full((3,) * 4, 1 / 81)
+    for mask in (-1, 0, 0b100, 0b1000):
+        with pytest.raises(ValueError, match=f"particle subset {mask} is empty or out of range"):
+            oracle.wigner_marginal(W, ps, mask)
+
+
 def test_wigner_rejects_even_d():
     ps = PhaseSpace(1, 2)
     with pytest.raises(ValueError):

@@ -2,13 +2,11 @@
 
 import random
 from itertools import product
-from math import comb
 
 import pytest
 
 from entrokit.phasespace import (
     PhaseSpace,
-    chain_orders,
     is_isotropic,
     particles,
     subset_size,
@@ -24,6 +22,12 @@ def test_particles_and_subset_size():
     assert particles(1) == [0]
     assert particles(0b1011) == [0, 1, 3]
     assert subset_size(0b1011) == 3
+
+
+def test_a_negative_mask_is_rejected():
+    for fn in (lambda: particles(-1), lambda: PhaseSpace(2, 3).coords(-1)):
+        with pytest.raises(ValueError, match="particle subset -1 is negative"):
+            fn()
 
 
 def test_phase_space_validation():
@@ -176,15 +180,3 @@ def test_is_isotropic():
     ps2 = PhaseSpace(2, 2)
     # two commuting two-particle generators
     assert is_isotropic(ps2, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 4))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_chain_orders_cover_every_subset(n):
-    orders = chain_orders(n)
-    assert len(orders) == comb(n, n // 2)
-    assert orders[0] == tuple(range(n))
-    covered = set()
-    for pi in orders:
-        assert sorted(pi) == list(range(n))
-        covered.update(sum(1 << x for x in pi[s:]) for s in range(n))
-    assert covered == set(range(1, 1 << n))

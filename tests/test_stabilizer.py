@@ -2,10 +2,11 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from entrokit.phasespace import PhaseSpace, form, is_isotropic
+from entrokit.phasespace import PhaseSpace, form, is_isotropic, subsystem_orders
 from entrokit.stabilizer import (
     CLASSICAL,
     QUANTUM,
@@ -47,6 +48,24 @@ def test_maximal_isotropic_count_prime_d(d, n, corpus):
         expect *= d**i + 1
     count = sum(1 for st in corpus(d, n) if st.M.order == d**n)
     assert count == expect
+
+
+def order_census(d, n):
+    """The multiset of quantum order tuples over every isotropic subgroup."""
+    ps = PhaseSpace(n, d)
+    return Counter(subsystem_orders(ps, M) for M in enumerate_isotropic(ps))
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (2, 5)])
+def test_composite_d_census_is_the_crt_product(a, b):
+    # Z_ab = Z_a x Z_b for coprime a, b: each isotropic subgroup at d = ab is one
+    # pair of them at a and at b, and each of its orders is the pair's product
+    left, right = order_census(a, 2), order_census(b, 2)
+    expect = Counter()
+    for x, cx in left.items():
+        for y, cy in right.items():
+            expect[tuple(p * q for p, q in zip(x, y))] += cx * cy
+    assert order_census(a * b, 2) == expect
 
 
 def test_enumeration_is_deterministic_and_duplicate_free():
