@@ -34,10 +34,6 @@ from .stabilizer import (
 OUTPUT_DIR_ENV = "ENTROKIT_OUTPUT_DIR"
 
 
-def _fmt(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def _resolve(path: Optional[str], default_name: str) -> str:
     if path:
         return path
@@ -48,7 +44,7 @@ def _vector_obj(vec: EntropyVector) -> dict:
     return {
         "kind": vec.kind,
         "entries": [
-            {"mask": mask, "size": subset_size(mask), "order": q, "entropy_log_d": _fmt(vec.value(mask))}
+            {"mask": mask, "size": subset_size(mask), "order": q, "entropy_log_d": vec.value(mask)}
             for mask, q in enumerate(vec.orders, 1)
         ],
     }
@@ -226,7 +222,7 @@ def cmd_oracle_check(args) -> int:
                     checks[key] = max(checks[key], float(errs.max()))
                     ok &= bool((errs < tolerances[key]).all())
             report = {"d": d, "n": n, "passed": bool(ok)}
-            report.update({k: (_fmt(v) if isinstance(v, float) else v) for k, v in checks.items()})
+            report.update(checks)
             fh.write(json.dumps(report, sort_keys=True) + "\n")
     except ValueError as exc:  # a state the oracle cannot validate fails the check
         os.remove(out)
@@ -270,7 +266,7 @@ def cmd_gaussian(args) -> int:
                         worst = max(worst, abs(via - s2))
             ok = worst < 1e-10
             line = json.dumps(
-                {"passed": ok, "trials": args.trials, "n": n, "seed": args.seed, "max_error": _fmt(worst)},
+                {"passed": ok, "trials": args.trials, "n": n, "seed": args.seed, "max_error": worst},
                 sort_keys=True,
             )
         elif args.gaussian_cmd == "mc":
@@ -283,9 +279,9 @@ def cmd_gaussian(args) -> int:
                     "passed": ok,
                     "samples": args.samples,
                     "seed": args.seed,
-                    "exact": _fmt(exact),
-                    "estimate": _fmt(est),
-                    "stderr": _fmt(se),
+                    "exact": exact,
+                    "estimate": est,
+                    "stderr": se,
                 },
                 sort_keys=True,
             )

@@ -1,19 +1,19 @@
 """Gaussian covariance calculus and Renyi phase-space entropies.
 
 The covariance matrix Sigma is always the second-moment matrix of the Wigner
-function, in interleaved (p_1, q_1, ..., p_n, q_n) layout.  The convention
-scale sigma_vac fixes the vacuum: sigma_vac = 1/2 (default) is the unique
-choice consistent with the Wigner normalization, and the quantum Renyi-2
-entropy is S_2(rho_I) = (1/2) log det(Sigma_I / sigma_vac).  All entropies
-here are in nats.
+function, in interleaved (p_1, q_1, ..., p_n, q_n) layout.  The vacuum scale
+is the constant SIGMA_VAC = 1/2, the unique choice consistent with the Wigner
+normalization; with it the quantum Renyi-2 entropy is
+S_2(rho_I) = (1/2) log det(Sigma_I / SIGMA_VAC), and the classical Renyi
+entropies of the Wigner marginals recover it up to a constant per mode.  All
+entropies here are in nats.
 
 Every log det Sigma_I comes from one stacked Cholesky in ``_logdets``, of
-Sigma with the rows and columns outside I set to the identity's.
-``subsystem_logdets`` asks it for every mask, the per-mask entropies and
-``mc_renyi2`` for Sigma_I and Sigma, and the search's ``ingleton_value`` for
-the Ingleton's terms and Sigma.  One Sigma check (``_checked_sigma``) serves
-``GaussianState``, ``ingleton_value``, ``subsystem_logdets`` and the search's
-start.  The cached arrays are read-only.
+Sigma with the rows and columns outside I set to the identity's.  The
+per-mask entropies and ``mc_renyi2`` ask it for Sigma_I and Sigma, and the
+search's ``ingleton_value`` for the Ingleton's terms and Sigma.  One Sigma
+check (``_checked_sigma``) serves ``GaussianState`` and ``ingleton_value``.
+The cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .inequalities import ingleton
 from .phasespace import subset_size
 from .value import Value
 
+SIGMA_VAC = 0.5
 PHYSICALITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
 SEARCH_MARGIN = 1e-4  # every search candidate is projected to at least this physicality margin
@@ -50,9 +50,8 @@ def symplectic_matrix(n: int) -> np.ndarray:
     return _frozen(omega)
 
 
-def _checked_sigma(sigma: np.ndarray, n: int, sigma_vac: float = 0.5) -> np.ndarray:
-    """Sigma as a float array, checked: 2n x 2n, finite, symmetric within
-    SYMMETRY_TOL, and a vacuum scale sigma_vac of 1/2 or 1."""
+def _checked_sigma(sigma: np.ndarray, n: int) -> np.ndarray:
+    """Sigma as a float array, checked: 2n x 2n, finite and symmetric within SYMMETRY_TOL."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (2 * n, 2 * n):
         raise ValueError(f"sigma must be {2 * n} x {2 * n}")
@@ -60,40 +59,38 @@ def _checked_sigma(sigma: np.ndarray, n: int, sigma_vac: float = 0.5) -> np.ndar
         raise ValueError("mu and sigma must be finite")
     if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
         raise ValueError("covariance matrix is not symmetric")
-    if sigma_vac not in (0.5, 1.0):
-        raise ValueError("sigma_vac must be 1/2 or 1")
     return sigma
 
 
 class GaussianState(Value):
-    __slots__ = _fields = ("n", "mu", "sigma", "sigma_vac")
+    __slots__ = _fields = ("n", "mu", "sigma")
 
-    def __init__(self, n: int, mu: np.ndarray, sigma: np.ndarray, sigma_vac: float = 0.5) -> None:
+    def __init__(self, n: int, mu: np.ndarray, sigma: np.ndarray) -> None:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (2 * n,):
             raise ValueError(f"mu must have shape ({2 * n},)")
         if not np.isfinite(mu).all():
             raise ValueError("mu and sigma must be finite")
-        self._set(n, mu, _checked_sigma(sigma, n, sigma_vac), sigma_vac)
+        self._set(n, mu, _checked_sigma(sigma, n))
 
     @classmethod
-    def vacuum(cls, n: int, sigma_vac: float = 0.5) -> "GaussianState":
-        return cls(n, np.zeros(2 * n), sigma_vac * np.eye(2 * n), sigma_vac)
+    def vacuum(cls, n: int) -> "GaussianState":
+        return cls(n, np.zeros(2 * n), SIGMA_VAC * np.eye(2 * n))
 
 
 @lru_cache(maxsize=None)
-def _vacuum_term(n: int, sigma_vac: float) -> np.ndarray:
-    """i * sigma_vac * Omega for n modes (read-only)."""
-    return _frozen(1j * sigma_vac * symplectic_matrix(n))
+def _vacuum_term(n: int) -> np.ndarray:
+    """i * SIGMA_VAC * Omega for n modes (read-only)."""
+    return _frozen(1j * SIGMA_VAC * symplectic_matrix(n))
 
 
-def physicality_margin(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
-    """Minimum eigenvalue of Sigma + i * sigma_vac * Omega; Sigma must be 2n x 2n, n >= 1."""
+def physicality_margin(sigma: np.ndarray) -> float:
+    """Minimum eigenvalue of Sigma + i * SIGMA_VAC * Omega; Sigma must be 2n x 2n, n >= 1."""
     n = len(sigma) // 2
     if n < 1 or np.shape(sigma) != (2 * n, 2 * n):
         raise ValueError(f"sigma must be 2n x 2n with n >= 1, got shape {np.shape(sigma)}")
     try:
-        return float(np.linalg.eigvalsh(sigma + _vacuum_term(n, sigma_vac)).min())
+        return float(np.linalg.eigvalsh(sigma + _vacuum_term(n)).min())
     except np.linalg.LinAlgError:
         raise ValueError("physicality margin: eigenvalues did not converge") from None
 
@@ -103,12 +100,6 @@ def _keep(n: int, masks) -> np.ndarray:
     modes = np.array(masks)[:, None] >> np.arange(n) & 1
     coords = np.repeat(modes, 2, axis=1).astype(bool)
     return coords[:, :, None] & coords[:, None, :]
-
-
-@lru_cache(maxsize=None)
-def _subsystem_keep(n: int) -> np.ndarray:
-    """``_keep`` of every nonempty mask, at ``mask - 1`` (read-only)."""
-    return _frozen(_keep(n, range(1, 1 << n)))
 
 
 @lru_cache(maxsize=None)
@@ -130,16 +121,6 @@ def _logdets(sigma: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return 2 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
-def subsystem_logdets(sigma: np.ndarray, n: int) -> tuple[float, ...]:
-    """log det Sigma_mask at ``mask - 1`` for every nonempty mask, on the checked Sigma."""
-    return tuple(_logdets(_checked_sigma(sigma, n), _subsystem_keep(n)).tolist())
-
-
-def _renyi2_entries(g: GaussianState) -> dict[int, float]:
-    shift = math.log(g.sigma_vac)
-    return {mask: 0.5 * ld - subset_size(mask) * shift for mask, ld in enumerate(subsystem_logdets(g.sigma, g.n), 1)}
-
-
 def _half_log_det(g: GaussianState, mask: int) -> float:
     """(1/2) log det Sigma_I, factored with Sigma so that a Sigma that is not
     positive definite raises on every mask; the stack is not cached."""
@@ -149,8 +130,8 @@ def _half_log_det(g: GaussianState, mask: int) -> float:
 
 
 def renyi2_quantum(g: GaussianState, mask: int) -> float:
-    """S_2(rho_I) = -log tr rho_I^2 = (1/2) log det(Sigma_I / sigma_vac)."""
-    return _half_log_det(g, mask) - subset_size(mask) * math.log(g.sigma_vac)
+    """S_2(rho_I) = -log tr rho_I^2 = (1/2) log det(Sigma_I / SIGMA_VAC)."""
+    return _half_log_det(g, mask) - subset_size(mask) * math.log(SIGMA_VAC)
 
 
 def renyi_alpha_classical(g: GaussianState, mask: int, alpha: float) -> float:
@@ -174,6 +155,7 @@ def shannon_classical(g: GaussianState, mask: int) -> float:
 
 
 MC_MIN_SAMPLES = 10**4
+MC_BLOCK = 1 << 16  # rows of draws held at once
 
 
 def mc_renyi2(
@@ -183,32 +165,39 @@ def mc_renyi2(
 
     Importance sampling with W itself: E_W[W] = int W^2, with whitened draws
     and W's norm from ``_half_log_det``.  Returns the estimate of H_2 and a
-    jackknife standard error; deterministic per seed.
+    jackknife standard error; deterministic per seed.  The draws are taken
+    MC_BLOCK rows at a time, which leaves the random stream as one draw of all
+    rows, and every later step works in place on the one array of weights.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError("need at least 10^4 samples")
     half_log_det = _half_log_det(g, mask)  # checks the mask first
     dim = 2 * subset_size(mask)
     lognorm = -0.5 * dim * math.log(2 * math.pi) - half_log_det
-    # a draw x = L z of W, centred, with L L^T = Sigma_I, has x^T Sigma_I^-1 x = z^T z
-    z = np.random.default_rng(seed).standard_normal((samples, dim))
-    quad = np.einsum("ij,ij->i", z, z)
-    w = np.exp(lognorm - 0.5 * quad)
+    rng = np.random.default_rng(seed)
+    w = np.empty(samples)
+    for lo in range(0, samples, MC_BLOCK):
+        # a draw x = L z of W, centred, with L L^T = Sigma_I, has x^T Sigma_I^-1 x = z^T z
+        z = rng.standard_normal((min(MC_BLOCK, samples - lo), dim))
+        w[lo : lo + len(z)] = np.exp(lognorm - 0.5 * np.einsum("ij,ij->i", z, z))
     mean = w.mean()
     est = -math.log(mean)
-    # leave-one-out jackknife of -log mean
-    loo = (samples * mean - w) / (samples - 1)
-    theta = -np.log(loo)
-    se = math.sqrt((samples - 1) / samples * ((theta - theta.mean()) ** 2).sum())
+    # leave-one-out jackknife of -log mean: theta = -log((samples * mean - w) / (samples - 1))
+    theta = np.subtract(samples * mean, w, out=w)
+    theta /= samples - 1
+    np.log(theta, out=theta)
+    theta *= -1
+    theta -= theta.mean()
+    se = math.sqrt((samples - 1) / samples * np.square(theta, out=theta).sum())
     return est, se
 
 
 def entropy_vector_gaussian(g: GaussianState) -> dict[int, float]:
     """mask -> S_2(rho_I) for every nonempty mask of a physical state."""
-    margin = physicality_margin(g.sigma, g.sigma_vac)
+    margin = physicality_margin(g.sigma)
     if margin < -PHYSICALITY_TOL:
         raise ValueError(f"state is unphysical (margin {margin:g})")
-    return _renyi2_entries(g)
+    return {mask: renyi2_quantum(g, mask) for mask in range(1, 1 << g.n)}
 
 
 # --- Ingleton violation search -------------------------------------------
@@ -245,17 +234,20 @@ def _ingleton_keep() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     return _frozen(keep), tuple((c, subset_size(mask)) for mask, c in terms)
 
 
-def ingleton_value(sigma: np.ndarray, sigma_vac: float = 0.5) -> float:
+def ingleton_value(sigma: np.ndarray, sigma_vac: float = SIGMA_VAC) -> float:
     """The Ingleton combination on the Renyi-2 entropy vector of a 4-mode Sigma.
 
     One checked Sigma and one ``_logdets`` call per call; the sum is
     ``evaluate_float`` of ``ingleton(4, 1, 2, 4, 8)`` on the entries
-    S_2(I) = (1/2) log det Sigma_I - |I| log sigma_vac, term by term in ``nu``
-    order, less the two terms whose coefficient is 0.
+    S_2(I) = (1/2) log det Sigma_I - |I| log SIGMA_VAC, term by term in ``nu``
+    order, less the two terms whose coefficient is 0.  ``sigma_vac`` is
+    accepted for callers that pass the scale, and must be SIGMA_VAC.
     """
+    if sigma_vac != SIGMA_VAC:
+        raise ValueError("sigma_vac must be 1/2")
     keep, terms = _ingleton_keep()
-    logdets = _logdets(_checked_sigma(sigma, 4, sigma_vac), keep).tolist()
-    shift = math.log(sigma_vac)
+    logdets = _logdets(_checked_sigma(sigma, 4), keep).tolist()
+    shift = math.log(SIGMA_VAC)
     return sum(c * (0.5 * ld - size * shift) for (c, size), ld in zip(terms, logdets))
 
 
@@ -270,14 +262,8 @@ def _project_physical(sigma: np.ndarray) -> np.ndarray:
 STRATEGIES = ("random-wishart", "random-pure-plus-noise", "local-perturbation")
 
 
-def ingleton_search(
-    seed: int,
-    iterations: int,
-    strategy: str = "random-wishart",
-    start: Optional[np.ndarray] = None,
-) -> SearchResult:
-    """Search physical 4-mode covariance matrices (sigma_vac = 1/2) for an
-    Ingleton violation.
+def ingleton_search(seed: int, iterations: int, strategy: str = "random-wishart") -> SearchResult:
+    """Search physical 4-mode covariance matrices for an Ingleton violation.
 
     Random candidates are interleaved with local hill descent from the best
     one found so far; every candidate is projected back onto the physical set
@@ -301,7 +287,7 @@ def ingleton_search(
             cand = a @ a.T
         return _project_physical(cand)
 
-    best_sigma = _project_physical(_checked_sigma(start, 4, 0.5) if start is not None else sample())
+    best_sigma = _project_physical(sample())
     best_val = ingleton_value(best_sigma)
     for it in range(iterations):
         if strategy != "local-perturbation" and (best_val >= 0 or it % 4 == 0):

@@ -161,9 +161,6 @@ class _Lanes:
 
     def pack(self, lanes: list[int]) -> int:
         """One integer holding lanes[j] in lane j; each lane is in [0, 2^(8w))."""
-        code = _TYPECODES.get(self.w)
-        if code:
-            return int.from_bytes(array(code, lanes).tobytes(), "little")
         return int.from_bytes(b"".join(x.to_bytes(self.w, "little") for x in lanes), "little")
 
     def unpack(self, x: int):
@@ -362,18 +359,20 @@ def ingleton(n: int, I: int, J: int, K: int, L: int) -> Inequality:
     return Inequality(n, nu, f"ingleton({I},{J};{K},{L})")
 
 
-def zhang_yeung(n: int = 4, A: int = 1, B: int = 2, C: int = 4, D: int = 8) -> Inequality:
-    """The non-Shannon-type inequality of Zhang and Yeung (1998):
+def zhang_yeung() -> Inequality:
+    """The non-Shannon-type inequality of Zhang and Yeung (1998) on 4 parties,
+    with A, B, C, D the particles 1, 2, 4, 8:
 
     I(A:B) + I(A:CD) + 3 I(C:D|A) + I(C:D|B) - 2 I(C:D) >= 0.
     """
+    A, B, C, D = 1, 2, 4, 8
     nu: dict[int, int] = {}
     mutual_information(nu, A, B)
     mutual_information(nu, A, C | D)
     conditional_mutual_information(nu, C, D, A, 3)
     conditional_mutual_information(nu, C, D, B)
     mutual_information(nu, C, D, -2)
-    return Inequality(n, nu, f"zhang_yeung({A},{B},{C},{D})")
+    return Inequality(4, nu, "zhang_yeung(1,2,4,8)")
 
 
 FAMILIES = ("monotonicity", "ssa", "weak_monotonicity", "ingleton", "zhang_yeung")

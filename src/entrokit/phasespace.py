@@ -65,6 +65,12 @@ def symplectic_form(ps: PhaseSpace, v: Sequence[int], w: Sequence[int]) -> int:
     return form(v, w) % ps.d
 
 
+def _check_lives_in(ps: PhaseSpace, M: Subgroup) -> None:
+    """Raise ValueError unless M is a subgroup of ps's own Z_d^{2n}."""
+    if M.m != ps.m or M.d != ps.d:
+        raise ValueError("subgroup does not live in the given phase space")
+
+
 def is_isotropic(ps: PhaseSpace, M: Subgroup) -> bool:
     """True iff the form vanishes mod d on all pairs of generators.
 
@@ -73,6 +79,7 @@ def is_isotropic(ps: PhaseSpace, M: Subgroup) -> bool:
     w(k g) by a sign: ``oracle.projector`` keeps, generator by generator, one
     eigenspace of w(g) that is present on what is left.
     """
+    _check_lives_in(ps, M)
     gens = M.generators()
     d = ps.d
     return not any(form(g, h) % d for i, g in enumerate(gens) for h in gens[i + 1 :])
@@ -87,8 +94,7 @@ def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
     and [v, m] = a . m for a = (-q_1, p_1, ...), so each column with its pairs
     (a_p, a_q) mapped to (a_q, -a_p) is a generator of M_perp.
     """
-    if M.m != ps.m or M.d != ps.d:
-        raise ValueError("subgroup does not live in the given phase space")
+    _check_lives_in(ps, M)
     d, m, B = ps.d, ps.m, M.basis
     X = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -115,8 +121,7 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:
     cut past y's pair, are the child's.  That is 2^n - 2 two-column steps,
     with no HNF; exact for every d and every subgroup, isotropic or not.
     """
-    if S.m != ps.m or S.d != ps.d:
-        raise ValueError("subgroup does not live in the given phase space")
+    _check_lives_in(ps, S)
     d, n, full_mask = ps.d, ps.n, ps.full_mask
     total = S.order
     out = [0] * full_mask

@@ -77,8 +77,6 @@ class StabilizerState:
     """A stabilizer state, described purely by its isotropic subgroup."""
 
     def __init__(self, ps: PhaseSpace, M: Subgroup):
-        if M.m != ps.m or M.d != ps.d:
-            raise ValueError("subgroup does not live in the given phase space")
         if not phsp.is_isotropic(ps, M):
             raise ValueError("subgroup is not isotropic")
         self.ps = ps

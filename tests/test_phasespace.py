@@ -180,3 +180,14 @@ def test_is_isotropic():
     ps2 = PhaseSpace(2, 2)
     # two commuting two-particle generators
     assert is_isotropic(ps2, Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 4))
+
+
+def test_is_isotropic_rejects_a_foreign_subgroup():
+    from entrokit.stabilizer import StabilizerState
+
+    # isotropic in its own Z_2^4
+    M = Subgroup.from_generators([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 4)
+    for ps in (PhaseSpace(2, 3), PhaseSpace(1, 2), PhaseSpace(3, 2)):
+        for check in (is_isotropic, StabilizerState):
+            with pytest.raises(ValueError, match="does not live in the given phase space"):
+                check(ps, M)

@@ -129,7 +129,6 @@ def test_repr_lists_the_fields():
         (lambda: gsn.GaussianState(1, [0.0, math.nan], np.eye(2)), "mu and sigma must be finite"),
         (lambda: gsn.GaussianState(1, np.zeros(2), np.eye(3)), "sigma must be 2 x 2"),
         (lambda: gsn.GaussianState(1, np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]), "covariance matrix is not symmetric"),
-        (lambda: gsn.GaussianState(1, np.zeros(2), np.eye(2), 0.25), "sigma_vac must be 1/2 or 1"),
     ],
 )
 def test_validation_errors_are_unchanged(build, message):
