@@ -323,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify inequalities against a corpus file")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--family", choices=ineq.FAMILIES)
-    p.add_argument("--inequality", help="JSON-lines file of inequalities")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--family", choices=ineq.FAMILIES)
+    which.add_argument("--inequality", help="JSON-lines file of inequalities")
     p.add_argument("--kind", choices=(QUANTUM, CLASSICAL), default=QUANTUM)
     p.add_argument("--balanced-only", action="store_true")
     p.add_argument("--out")

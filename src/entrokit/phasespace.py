@@ -3,10 +3,15 @@
 Coordinates are interleaved as (p_1, q_1, ..., p_n, q_n), so selecting or
 reordering particles is a selection or permutation of column pairs.  Party
 subsets are passed as bitmasks with particle 1 on the least significant bit.
+The subsystem kernel ``subsystem_orders`` counts |S ∩ V_I| for every subset
+I: a small S element by element, by support, and a large one by the subset
+tree of projections, whose cost does not grow with |S|.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import lshift
 from typing import Sequence
 
 from . import zmod
@@ -105,9 +110,96 @@ def symplectic_complement(ps: PhaseSpace, M: Subgroup) -> Subgroup:
     return Subgroup.from_generators(gens, d, m)
 
 
+# |S| at or below SUPPORT_COUNT_LIMIT * 2^n takes the support count, above it
+# the subset tree: per state, the count grows with |S| and the tree with 2^n.
+# Timed per state on random isotropic subgroups and their complements (median
+# per order, 2-core x86-64 host, Python 3.11.7), the two paths tie near
+# |S| = 12 * 2^n at (6,4), 15 * 2^n at (3,4), 16 * 2^n at (2,4), (4,4) and
+# (2,6) and 20 * 2^n at (2,5).  8 is the largest power of two below them all;
+# at |S| = 2^n, a pure qubit state, the count takes 17 against 85 us at (2,4)
+# and 36 against 243 us at (2,5).
+SUPPORT_COUNT_LIMIT = 8
+
+
 def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:
     """|S ∩ V_mask| at ``mask - 1`` for every nonempty mask, V_mask the vectors
     supported on mask: the ``orders`` of S's quantum ``EntropyVector``.
+
+    Two exact paths, for every d and every subgroup, isotropic or not; neither
+    runs an HNF.  A small S, |S| <= SUPPORT_COUNT_LIMIT * 2^n, is counted
+    element by element (``_support_orders``): its cost grows with |S|.  A
+    larger one goes through the subset tree (``_tree_orders``), whose
+    2^n - 2 two-column steps do not depend on |S|.
+    """
+    _check_lives_in(ps, S)
+    total = S.order
+    if total <= SUPPORT_COUNT_LIMIT << ps.n:
+        return _support_orders(ps, S)
+    return _tree_orders(ps, S, total)
+
+
+@lru_cache(maxsize=16)
+def _support_lanes(d: int, n: int) -> tuple:
+    """The constants of ``_support_orders`` at (d, n), in the order it unpacks them."""
+    w = max((d - 1).bit_length() + 1, (n + 2) // 2)
+    top = w - 1
+    ones = sum(1 << k * w for k in range(2 * n))
+    pair_ones = sum(1 << 2 * j * w for j in range(n))
+    gather = sum(1 << j * (2 * w - 1) for j in range(n))
+    sums = tuple((mask, mask ^ 1 << j) for j in range(n) for mask in range(1 << n) if mask >> j & 1)
+    return (
+        tuple(range(0, 2 * n * w, w)),  # lane shifts
+        top,
+        ones << top,  # flags
+        ones * ((1 << top) - d),  # bias
+        pair_ones * ((1 << 2 * w - 1) - 1),  # pair_bias
+        pair_ones << 2 * w - 1,  # pair_flags
+        gather,
+        n * (2 * w - 1),  # gathered
+        sums,
+    )
+
+
+def _support_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:
+    """``subsystem_orders`` by listing S and counting its elements by support.
+
+    Each element is packed into one int, coordinate k in the w-bit lane k, with
+    2^(w-1) >= d; an HNF row's entries lie in [0, d), so a row packs as it
+    stands.  S is listed from its HNF basis B: row i, with B_ii < d, is
+    added d / B_ii - 1 times over to every element listed so far, so each
+    element is sum c_i row_i with c_i in [0, d / B_ii), once.  A lane-wise sum
+    mod d is one addition, plus a test of each lane's top bit after adding
+    2^(w-1) - d, which flags the lanes that reached d.  A particle's two lanes
+    read as one 2w-bit lane below 2^(2w-1), so adding 2^(2w-1) - 1 flags the
+    particles in the support, and one multiplication gathers those n flags,
+    2w apart, into the support mask; 2w > n keeps its partial products apart.
+    The histogram of the supports then goes through a subset-sum (zeta)
+    transform over the n particle bits, so that
+    count[I] = |{v in S : supp v ⊆ I}| = |S ∩ V_I|.
+    """
+    d, low = ps.d, ps.full_mask
+    shifts, top, flags, bias, pair_bias, pair_flags, gather, gathered, sums = _support_lanes(d, ps.n)
+    elems = [0]
+    for i, row in enumerate(S.basis):
+        if row[i] == d:
+            continue
+        v = sum(map(lshift, row, shifts))
+        vb = v + bias
+        layer, grown = elems, []
+        for _ in range(d // row[i] - 1):
+            layer = [x + v - (((x + vb) & flags) >> top) * d for x in layer]
+            grown += layer
+        elems += grown
+    count = [0] * (low + 1)
+    for mask in [((x + pair_bias) & pair_flags) * gather >> gathered & low for x in elems]:
+        count[mask] += 1
+    for mask, sub in sums:
+        count[mask] += count[sub]
+    return tuple(count[1:])
+
+
+def _tree_orders(ps: PhaseSpace, S: Subgroup, total: int) -> tuple[int, ...]:
+    """``subsystem_orders`` by the subset tree, for S of order ``total``.
 
     |S ∩ V_I| = |S| / |pi_J(S)| for J the complement of I, since the projection
     pi_J has kernel S ∩ V_I on S.  The |pi_J(S)| come from a depth-first walk
@@ -118,12 +210,9 @@ def subsystem_orders(ps: PhaseSpace, S: Subgroup) -> tuple[int, ...]:
     eliminates that pair with ``zmod._eliminate``, each column together with
     its row d*e_c.  The pivots h_p, h_q give
     |pi_{J+y}(S)| = |pi_J(S)| * (d / h_p) * (d / h_q), and the rows left,
-    cut past y's pair, are the child's.  That is 2^n - 2 two-column steps,
-    with no HNF; exact for every d and every subgroup, isotropic or not.
+    cut past y's pair, are the child's.  That is 2^n - 2 two-column steps.
     """
-    _check_lives_in(ps, S)
     d, n, full_mask = ps.d, ps.n, ps.full_mask
-    total = S.order
     out = [0] * full_mask
     out[-1] = total
     # (J, its largest particle, |pi_J(S)|, its rows)

@@ -2,11 +2,12 @@
 
 A vector is stored exactly as its tuple of subgroup orders, one per nonempty
 subset; decimal values only appear at the I/O boundary.  One run of the
-subset-tree kernel ``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every
-subset I from 2^n - 2 two-column eliminations) gives both vectors: the
-quantum order is |M_I| = |M ∩ V_I|, and the classical one follows from the
-order identity |M_I| * |pi_I(M_perp)| = d^{2|I|}, which holds because
-pi_I(M_perp) is the annihilator of M ∩ V_I in V_I.  So no vector needs
+kernel ``phasespace.subsystem_orders`` on M (|M ∩ V_I| for every subset I,
+by support count for a small M and by the subset tree for a large one, with
+no HNF either way) gives both vectors: the quantum order is
+|M_I| = |M ∩ V_I|, and the classical one follows from the order identity
+|M_I| * |pi_I(M_perp)| = d^{2|I|}, which holds because pi_I(M_perp) is the
+annihilator of M ∩ V_I in V_I.  So no vector needs
 M_perp.  M_perp is kept for the check of that identity: ``order_identity_check`` counts
 |pi_I(M_perp)| = |M_perp| / |M_perp ∩ V_Ibar| from M_perp itself.
 ``enumerate_isotropic`` yields bare ``Subgroup``s, isotropic by construction;

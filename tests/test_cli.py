@@ -71,6 +71,25 @@ def test_verify_inequality_file(outdir):
     assert main(["verify", "--corpus", corpus, "--inequality", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "choice,message",
+    [
+        ([], "one of the arguments --family --inequality is required"),
+        (["--family", "ssa", "--inequality", "ineqs.json"], "argument --inequality: not allowed with argument --family"),
+    ],
+    ids=["neither", "both"],
+)
+def test_verify_takes_exactly_one_of_family_and_inequality(outdir, capsys, choice, message):
+    # argparse exits 2 before --out is opened: no report is left behind
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
+    (outdir / "ineqs.json").write_text('{"n": 2, "name": "ssa", "nu": {"1": 1, "2": 1, "3": -1}}\n')
+    capsys.readouterr()
+    assert main(["verify", "--corpus", corpus, *choice, "--out", str(outdir / "report.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
 def test_verify_rejects_mixed_corpus(outdir, capsys):
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
@@ -335,8 +354,8 @@ def test_enumerate_builds_no_complement(outdir, monkeypatch):
 
 @pytest.mark.parametrize("d,n,states", [(2, 3, 514), (4, 2, 517)])
 def test_enumerate_makes_one_kernel_run_per_state(outdir, monkeypatch, d, n, states):
-    # one subsystem_orders run on each enumerated M, and the subset-tree kernel
-    # computes no HNF: nothing in enumerate calls _hermite_rows
+    # one subsystem_orders run on each enumerated M, and neither kernel path
+    # computes an HNF: nothing in enumerate calls _hermite_rows
     import entrokit.cli as cli
     import entrokit.zmod as zmod
 

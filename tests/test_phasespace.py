@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import entrokit.phasespace as phsp
 from entrokit.phasespace import (
     PhaseSpace,
     is_isotropic,
@@ -151,19 +152,48 @@ def brute_orders(ps, M):
     )
 
 
+def both_paths(ps, M):
+    """The support count and the subset tree on M, each called directly."""
+    return phsp._support_orders(ps, M), phsp._tree_orders(ps, M, M.order)
+
+
 @pytest.mark.parametrize(
-    "d,n", [(d, n) for d in (2, 3, 4, 6, 8, 12) for n in (1, 2)] + [(2, 3), (3, 3)]
+    "d,n", [(d, n) for d in (2, 3, 4, 6, 8, 12) for n in (1, 2)] + [(2, 3), (3, 3), (2, 4), (3, 4)]
 )
 def test_subsystem_orders_match_brute_force_on_random_subgroups(d, n):
-    # isotropic or not, free or not (composite d), as M_perp is for a mixed M
+    # isotropic or not, free or not (composite d), as M_perp is for a mixed M;
+    # both kernel paths, on either side of the threshold
     ps = PhaseSpace(n, d)
     subgroups = random_subgroups(d, n, 30)
     subgroups += [symplectic_complement(ps, M) for M in subgroups]
     assert any(not is_isotropic(ps, M) for M in subgroups)
     for M in subgroups:
-        assert subsystem_orders(ps, M) == brute_orders(ps, M)
+        expected = brute_orders(ps, M)
+        assert subsystem_orders(ps, M) == expected
+        assert both_paths(ps, M) == (expected, expected)
     whole = Subgroup(d, 2 * n, tuple(tuple(int(i == j) for j in range(2 * n)) for i in range(2 * n)))
-    assert subsystem_orders(ps, whole) == tuple(d ** (2 * subset_size(mask)) for mask in range(1, 1 << n))
+    expected = tuple(d ** (2 * subset_size(mask)) for mask in range(1, 1 << n))
+    assert subsystem_orders(ps, whole) == expected
+    assert both_paths(ps, whole) == (expected, expected)
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (6, 2), (2, 4)])
+def test_subsystem_orders_takes_the_support_count_up_to_the_threshold(monkeypatch, d, n):
+    # one subgroup of order just at or below SUPPORT_COUNT_LIMIT * 2^n, one just above
+    ps = PhaseSpace(n, d)
+    limit = phsp.SUPPORT_COUNT_LIMIT << n
+    pool = random_subgroups(d, n, 30)
+    pool += [symplectic_complement(ps, M) for M in pool]
+    below = max((M for M in pool if M.order <= limit), key=lambda M: M.order)
+    above = min((M for M in pool if M.order > limit), key=lambda M: M.order)
+    assert below.order * d > limit and above.order <= limit * d
+    paths = []
+    support, tree = phsp._support_orders, phsp._tree_orders
+    monkeypatch.setattr(phsp, "_support_orders", lambda *a: paths.append("support") or support(*a))
+    monkeypatch.setattr(phsp, "_tree_orders", lambda *a: paths.append("tree") or tree(*a))
+    for M in (below, above):
+        assert subsystem_orders(ps, M) == brute_orders(ps, M)
+    assert paths == ["support", "tree"]
 
 
 def test_subsystem_orders_rejects_a_foreign_subgroup():

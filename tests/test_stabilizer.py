@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import entrokit.phasespace as phsp
 from entrokit.phasespace import PhaseSpace, form, is_isotropic, subsystem_orders
 from entrokit.stabilizer import (
     CLASSICAL,
@@ -238,16 +239,22 @@ def test_seeded_vectors_match_brute_force(d, n, ranks):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_quantum_vector_makes_no_hnf_call(monkeypatch, n):
-    # the subset-tree kernel: no HNF, and 2^n - 2 two-column steps, each
-    # clearing columns 0 and 1 of the rows cut for its node
+    # no HNF on either kernel path.  A pure state at d = 2 (|M| = 2^n) takes the
+    # support count, with no elimination step; one at d = 5 (|M| = 5^n, above
+    # SUPPORT_COUNT_LIMIT * 2^n) takes the subset tree: 2^n - 2 two-column
+    # steps, each clearing columns 0 and 1 of the rows cut for its node
     import entrokit.zmod as zmod
 
-    st = random_isotropic(random.Random(n), 2, n, n)
+    small = random_isotropic(random.Random(n), 2, n, n)
+    large = random_isotropic(random.Random(n), 5, n, n)
+    assert small.M.order == 2**n and large.M.order > phsp.SUPPORT_COUNT_LIMIT << n
     hnfs, steps = [], []
     hermite, eliminate = zmod._hermite_rows, zmod._eliminate
     monkeypatch.setattr(zmod, "_hermite_rows", lambda *a: hnfs.append(a) or hermite(*a))
     monkeypatch.setattr(zmod, "_eliminate", lambda mat, top, col, d: steps.append((top, col)) or eliminate(mat, top, col, d))
-    entropy_vector(st, QUANTUM)
+    entropy_vector(small, QUANTUM)
+    assert hnfs == steps == []
+    entropy_vector(large, QUANTUM)
     assert hnfs == []
     assert steps == [(0, 0), (1, 1)] * (2**n - 2)
 
