@@ -7,7 +7,7 @@ by exact big-integer arithmetic, and implements the Gaussian Renyi-entropy
 formulas with a Monte-Carlo oracle and an Ingleton-violation search.
 """
 
-from .phasespace import PhaseSpace, symplectic_form
+from .phasespace import PhaseSpace
 from .stabilizer import (
     CLASSICAL,
     QUANTUM,
@@ -28,7 +28,6 @@ __all__ = [
     "Subgroup",
     "entropy_vector",
     "enumerate_isotropic",
-    "symplectic_form",
     "order_identity_check",
 ]
 

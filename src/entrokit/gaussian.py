@@ -259,10 +259,7 @@ def _project_physical(sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-STRATEGIES = ("random-wishart", "random-pure-plus-noise", "local-perturbation")
-
-
-def ingleton_search(seed: int, iterations: int, strategy: str = "random-wishart") -> SearchResult:
+def ingleton_search(seed: int, iterations: int) -> SearchResult:
     """Search physical 4-mode covariance matrices for an Ingleton violation.
 
     Random candidates are interleaved with local hill descent from the best
@@ -270,15 +267,10 @@ def ingleton_search(seed: int, iterations: int, strategy: str = "random-wishart"
     with the margin SEARCH_MARGIN, so a negative best value is always a
     certificate.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)
 
     def sample() -> np.ndarray:
-        if strategy == "random-pure-plus-noise":
-            a = rng.standard_normal((8, 2))
-            cand = a @ a.T + 10 ** rng.uniform(-3, 0) * np.eye(8)
-        elif rng.random() < 0.5:
+        if rng.random() < 0.5:
             # scalar 4-variable Wishart lifted to one mode per variable
             a = rng.standard_normal((4, 4 + rng.integers(0, 3)))
             cand = np.kron(a @ a.T, np.eye(2))
@@ -290,7 +282,7 @@ def ingleton_search(seed: int, iterations: int, strategy: str = "random-wishart"
     best_sigma = _project_physical(sample())
     best_val = ingleton_value(best_sigma)
     for it in range(iterations):
-        if strategy != "local-perturbation" and (best_val >= 0 or it % 4 == 0):
+        if best_val >= 0 or it % 4 == 0:
             cand = sample()
         else:
             step = 10 ** rng.uniform(-4, -0.5)

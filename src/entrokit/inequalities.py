@@ -73,11 +73,6 @@ class Inequality(Value):
     def coefficients(self) -> dict[int, int]:
         return {m: c for m, c in sorted(self.nu.items()) if c}
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "name": self.name, "nu": {str(m): c for m, c in self.coefficients().items()}}
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "Inequality":
         """One JSON object, no key repeated: int ``n >= 1``, ``nu`` mapping canonical

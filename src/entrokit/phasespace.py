@@ -63,13 +63,6 @@ def form(v: Sequence[int], w: Sequence[int]) -> int:
     return sum(v[k] * w[k + 1] - v[k + 1] * w[k] for k in range(0, len(v), 2))
 
 
-def symplectic_form(ps: PhaseSpace, v: Sequence[int], w: Sequence[int]) -> int:
-    """[v, w] = sum_i p_i q'_i - q_i p'_i, as an int in [0, d)."""
-    if len(v) != ps.m or len(w) != ps.m:
-        raise ValueError(f"vectors must have length {ps.m}")
-    return form(v, w) % ps.d
-
-
 def _check_lives_in(ps: PhaseSpace, M: Subgroup) -> None:
     """Raise ValueError unless M is a subgroup of ps's own Z_d^{2n}."""
     if M.m != ps.m or M.d != ps.d:

@@ -415,6 +415,27 @@ def test_oracle_check_fails_cleanly_on_a_state_it_cannot_validate(outdir, monkey
     assert not out.exists()
 
 
+def test_oracle_check_reports_a_nan_error_from_an_early_chunk(outdir, monkeypatch):
+    import numpy as np
+
+    from entrokit import oracle
+
+    cross_check, calls = oracle.cross_check, []
+
+    def nan_first(states):
+        errs = cross_check(states)
+        if not calls:
+            errs["entropy"] = np.full(len(states), np.nan)
+        calls.append(len(states))
+        return errs
+
+    monkeypatch.setattr(oracle, "cross_check", nan_first)
+    assert main(["oracle-check", "--d", "2", "--n", "3"]) == 1
+    assert len(calls) > 1  # the NaN chunk is followed by finite ones
+    report = read_lines(outdir / "oracle_check_d2_n3.json")[0]
+    assert not report["passed"] and np.isnan(report["entropy"])
+
+
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3), (4, 2)])
 def test_oracle_check_report_does_not_depend_on_chunking(outdir, monkeypatch, d, n):
     from entrokit import oracle
@@ -492,7 +513,7 @@ def test_bad_arguments(outdir, capsys):
     assert main(["gaussian", "mc", "--samples", "-5", "--seed", "1"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["gaussian", "ingleton-search", "--seed", "1", "--iters", "10", "--strategy", "bogus"]) == 2
-    assert "unknown strategy 'bogus'" in capsys.readouterr().err
+    assert "unrecognized arguments: --strategy bogus" in capsys.readouterr().err
     assert main(["gaussian", "mc", "--samples", "5000", "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: need at least 10^4 samples")
     for argv in (

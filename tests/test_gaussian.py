@@ -302,11 +302,10 @@ def test_ingleton_value_is_bit_identical_to_unfused_path():
         assert gsn.ingleton_value(sigma) == parent_ingleton_value(sigma)
 
 
-@pytest.mark.parametrize("strategy", gsn.STRATEGIES)
-def test_ingleton_search_trajectory_matches_unfused_path(monkeypatch, strategy):
-    res = gsn.ingleton_search(seed=5, iterations=400, strategy=strategy)
+def test_ingleton_search_trajectory_matches_unfused_path(monkeypatch):
+    res = gsn.ingleton_search(seed=5, iterations=400)
     monkeypatch.setattr(gsn, "ingleton_value", parent_ingleton_value)
-    ref = gsn.ingleton_search(seed=5, iterations=400, strategy=strategy)
+    ref = gsn.ingleton_search(seed=5, iterations=400)
     assert np.array_equal(res.sigma, ref.sigma)
     assert res.value == ref.value
     assert res.to_json() == ref.to_json()
@@ -401,15 +400,13 @@ def test_ingleton_search_trajectory_matches_eigvalsh_reference(monkeypatch):
 
 
 def test_ingleton_search_validation_and_json():
-    with pytest.raises(ValueError):
-        gsn.ingleton_search(seed=0, iterations=10, strategy="bogus")
-    res = gsn.ingleton_search(seed=1, iterations=50, strategy="random-pure-plus-noise")
+    res = gsn.ingleton_search(seed=1, iterations=50)
     obj = json.loads(res.to_json())
     assert set(obj) >= {"found", "ingleton_value", "physicality_margin", "seed", "Sigma"}
 
 
 def test_local_perturbation_strategy_descends():
     # the same seed draws the same start, which the zero-iteration search returns
-    start = gsn.ingleton_search(seed=2, iterations=0, strategy="local-perturbation")
-    res = gsn.ingleton_search(seed=2, iterations=300, strategy="local-perturbation")
+    start = gsn.ingleton_search(seed=2, iterations=0)
+    res = gsn.ingleton_search(seed=2, iterations=300)
     assert res.value < start.value

@@ -33,7 +33,8 @@ def test_inequality_validation():
 
 def test_json_roundtrip():
     q = ineq.zhang_yeung()
-    q2 = ineq.Inequality.from_json(q.to_json())
+    line = json.dumps({"n": q.n, "name": q.name, "nu": {str(m): c for m, c in q.coefficients().items()}})
+    q2 = ineq.Inequality.from_json(line)
     assert q2.n == q.n and q2.coefficients() == q.coefficients()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from entrokit import oracle
-from entrokit.phasespace import PhaseSpace, particles, symplectic_form
+from entrokit.phasespace import PhaseSpace, particles
 from entrokit.stabilizer import QUANTUM, StabilizerState, entropy_vector
 from entrokit.zmod import Subgroup
 

@@ -8,12 +8,12 @@ import pytest
 import entrokit.phasespace as phsp
 from entrokit.phasespace import (
     PhaseSpace,
+    form,
     is_isotropic,
     particles,
     subset_size,
     subsystem_orders,
     symplectic_complement,
-    symplectic_form,
 )
 from entrokit.zmod import Subgroup
 
@@ -42,30 +42,26 @@ def test_phase_space_validation():
 
 
 def test_symplectic_form_values():
-    ps = PhaseSpace(1, 3)
-    # [ (p,q), (p',q') ] = p q' - q p'
-    assert symplectic_form(ps, [1, 0], [0, 1]) == 1
-    assert symplectic_form(ps, [0, 1], [1, 0]) == 2  # -1 mod 3
-    assert symplectic_form(ps, [1, 1], [1, 1]) == 0
-    # entries are taken mod d: [(4, 0), (0, 2)] = 8 = 2 mod 3
-    assert symplectic_form(ps, [4, 0], [0, 2]) == 2
-    with pytest.raises(ValueError):
-        symplectic_form(ps, [1, 0, 0], [0, 1])
+    # [ (p,q), (p',q') ] = p q' - q p', reduced mod d = 3
+    assert form([1, 0], [0, 1]) % 3 == 1
+    assert form([0, 1], [1, 0]) % 3 == 2  # -1 mod 3
+    assert form([1, 1], [1, 1]) % 3 == 0
+    # [(4, 0), (0, 2)] = 8 = 2 mod 3
+    assert form([4, 0], [0, 2]) % 3 == 2
 
 
 def test_symplectic_form_antisymmetry_and_bilinearity():
-    ps = PhaseSpace(2, 5)
-    d = ps.d
+    d = 5
     vs = [(1, 2, 3, 4), (0, 1, 0, 1), (4, 4, 1, 0)]
     for v in vs:
         for w in vs:
-            a = symplectic_form(ps, v, w)
-            b = symplectic_form(ps, w, v)
+            a = form(v, w) % d
+            b = form(w, v) % d
             assert (a + b) % d == 0
             for u in vs:
                 vu = [(x + y) % d for x, y in zip(v, u)]
-                lhs = symplectic_form(ps, vu, w)
-                rhs = (a + symplectic_form(ps, u, w)) % d
+                lhs = form(vu, w) % d
+                rhs = (a + form(u, w)) % d
                 assert lhs == rhs
 
 
@@ -74,7 +70,7 @@ def brute_complement(ps, M):
     return {
         v
         for v in product(range(ps.d), repeat=ps.m)
-        if all(symplectic_form(ps, v, m) == 0 for m in elems)
+        if all(form(v, m) % ps.d == 0 for m in elems)
     }
 
 
@@ -194,6 +190,91 @@ def test_subsystem_orders_takes_the_support_count_up_to_the_threshold(monkeypatc
     for M in (below, above):
         assert subsystem_orders(ps, M) == brute_orders(ps, M)
     assert paths == ["support", "tree"]
+
+
+def rank_mod_p(rows, p):
+    """Rank over GF(p) of an integer matrix, by Gauss-Jordan elimination; p prime."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def graph_states(d, n, sample):
+    """Adjacency matrices over Z_d with zero diagonal: every graph, or a seeded sample of that many."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if sample is None:
+        weights = product(range(d), repeat=len(edges))
+    else:
+        rng = random.Random(f"graph-{d}-{n}")
+        weights = ([rng.randrange(d) for _ in edges] for _ in range(sample))
+    for w in weights:
+        gamma = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(edges, w):
+            gamma[i][j] = gamma[j][i] = x
+        yield gamma
+
+
+def rank_formula_orders(gamma, d):
+    """|M ∩ V_A| = d^(|A| - rank Gamma[A, complement of A]) at mask - 1, for the graph state of Gamma."""
+    n = len(gamma)
+    out = []
+    for mask in range(1, 1 << n):
+        inside, outside = particles(mask), particles(((1 << n) - 1) ^ mask)
+        cut = [[gamma[i][j] for j in outside] for i in inside] if outside else []
+        out.append(d ** (len(inside) - rank_mod_p(cut, d)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "d,n,sample,path",
+    [
+        (2, 4, None, "support"),
+        (3, 3, None, "support"),
+        (5, 3, None, "tree"),
+        (2, 6, 300, "support"),
+        (3, 5, 300, "support"),
+        (3, 6, 100, "tree"),
+    ],
+)
+def test_subsystem_orders_of_graph_states_match_the_rank_formula(monkeypatch, d, n, sample, path):
+    # The graph state of Gamma is stabilized by (p_j, q_j) = (delta_ij, Gamma_ij), and
+    # S_A = rank_GF(d) Gamma[A, complement of A]: |M ∩ V_A| = d^(|A| - rank).  The rank
+    # shares no code with the kernel; |M| = d^n fixes the path it takes.
+    ps = PhaseSpace(n, d)
+    paths = set()
+    support, tree = phsp._support_orders, phsp._tree_orders
+    monkeypatch.setattr(phsp, "_support_orders", lambda *a: paths.add("support") or support(*a))
+    monkeypatch.setattr(phsp, "_tree_orders", lambda *a: paths.add("tree") or tree(*a))
+    graphs = 0
+    for gamma in graph_states(d, n, sample):
+        gens = [[int(i == j) if k % 2 == 0 else gamma[i][j] for i in range(n) for k in (0, 1)] for j in range(n)]
+        M = Subgroup.from_generators(gens, d, 2 * n)
+        assert M.order == d**n and is_isotropic(ps, M)
+        assert subsystem_orders(ps, M) == rank_formula_orders(gamma, d)
+        graphs += 1
+    assert graphs == (sample or d ** (n * (n - 1) // 2))
+    assert paths == {path}
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_graph_states_give_the_vectors_of_every_pure_state(d, n, corpus):
+    # every pure stabilizer state is local-Clifford equivalent to a graph state,
+    # and local symplectic maps fix every V_A: the two sets of vectors agree
+    ps = PhaseSpace(n, d)
+    pure = {subsystem_orders(ps, st.M) for st in corpus(d, n) if st.M.order == d**n}
+    assert {rank_formula_orders(gamma, d) for gamma in graph_states(d, n, None)} == pure
 
 
 def test_subsystem_orders_rejects_a_foreign_subgroup():
