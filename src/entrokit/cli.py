@@ -57,13 +57,12 @@ def cmd_enumerate(args) -> int:
         return 2
     out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     ps = PhaseSpace(n, d)
-    blocks: dict[tuple[int, ...], tuple[str, ...]] = {}  # quantum orders -> both serialized blocks
+    blocks: dict[tuple[int, ...], tuple[str, str]] = {}  # quantum orders -> both block texts
     with open(out, "w") as fh:
         for idx, M in enumerate(enumerate_isotropic(ps)):
             orders = subsystem_orders(ps, M)  # the one kernel run per state
             if orders not in blocks:
-                both = (vector_from_orders(ps, orders, CLASSICAL), vector_from_orders(ps, orders, QUANTUM))
-                blocks[orders] = tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in both)
+                blocks[orders] = _blocks(ps, orders)[1]
             classical, quantum = blocks[orders]
             gens = json.dumps(M.generators())
             # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
@@ -75,46 +74,40 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _block_orders(rec: dict, kind: str, sizes: list[int]) -> tuple[int, ...]:
-    """One block's orders at ``mask - 1``: masks 1..2^n - 1, integer masks, sizes and orders, size == popcount(mask)."""
-    entries = rec[kind]["entries"]
-    orders = {e["mask"]: e["order"] for e in entries}
-    if len(entries) != len(sizes) - 1 or sorted(orders) != list(range(1, len(sizes))):
-        raise ValueError(f"{kind} masks are not exactly 1..{len(sizes) - 1}")
-    for e in entries:
-        if not type(e["mask"]) is type(e["size"]) is type(e["order"]) is int or e["size"] != sizes[e["mask"]]:
-            raise ValueError(f"{kind} entry {e}: needs integer mask, size and order, and size == popcount(mask)")
-    return tuple(orders[mask] for mask in range(1, len(sizes)))
+def _blocks(ps: PhaseSpace, orders: tuple[int, ...]) -> tuple[tuple[EntropyVector, ...], tuple[str, ...]]:
+    """The classical and quantum vectors of the quantum ``orders``, and their two
+    block texts: the one serializer of a corpus block, which ``enumerate``
+    writes and ``verify`` compares each record against."""
+    vecs = (vector_from_orders(ps, orders, CLASSICAL), vector_from_orders(ps, orders, QUANTUM))
+    return vecs, tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in vecs)
 
 
-def _parsed(text: str) -> dict:
-    """``text`` as a JSON object with no key repeated, or {} if it is not one."""
-    try:
-        return json.loads(text, object_pairs_hook=ineq.unique_keys)
-    except ValueError:
-        return {}
+def _is_size(d, n) -> bool:
+    return type(d) is type(n) is int and d >= 2 and n >= 1
 
 
 def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     """One entropy vector of ``kind`` per corpus record, read line by line.
 
     Each record is validated as it is read, and a bad one raises ValueError
-    naming its 0-based index: one (d, n) within the enumeration guard across
-    the file, both blocks well formed (see _block_orders), quantum orders that
-    ``vector_from_orders`` accepts (each |M_I| a divisor of d^(2|I|) and at
-    most d^|I|), and classical orders equal to the ones it derives,
-    d^(2|I|) / |M_I|.  Each record read in full gets its own vector;
-    ``verify_batch`` evaluates each distinct tuple of orders once.
+    naming its 0-based index.  A record read in full needs an int d >= 2 and
+    n >= 1, one (d, n) within the enumeration guard across the file, quantum
+    entries whose orders, in list order, pass ``vector_from_orders``, and two
+    blocks that, serialized with sorted keys, are the texts ``_blocks`` gives
+    for those orders: exactly what ``enumerate`` writes, in any layout.
 
-    A record's block texts, before its first ``, "d": `` and after its last
-    ``, "quantum": ``, are kept once it starts ``{"classical": ``, passes every
-    check and each text parses alone to its block.  A record repeating a kept
-    pair byte for byte parses only the text between, which must hold exactly d,
-    generators, index and n, with the file's (d, n); others are read in full.
+    A record that passes keeps its canonical texts, ``{"classical": `` plus
+    the first and the second plus ``}`` and a newline.  A record whose text
+    before its first ``, "d": `` and after its last ``, "quantum": `` is a kept
+    pair parses only the text between, which must hold exactly d, generators,
+    index and n, with the file's (d, n); a canonical block holds no
+    ``, "d": ``, so no cut falls inside one.  Others, a bad middle included,
+    are read in full.  Each distinct orders tuple is serialized once.
     """
     d = n = None
     idx = -1
-    kept: dict[tuple[str, str], EntropyVector] = {}  # (classical text, quantum text) -> vector
+    kept: dict[tuple[str, str], EntropyVector] = {}  # canonical (head, tail) texts -> vector
+    built: dict[tuple, tuple] = {}  # quantum orders -> their _blocks, for records read in full
     with open(path) as fh:
         for line in fh:
             if not line.strip():
@@ -123,37 +116,34 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
             head, cut, rest = line.partition(', "d": ')
             mid, cut, tail = rest.rpartition(', "quantum": ') if cut else ("", "", "")
             if cut and (head, tail) in kept:
-                middle = _parsed('{"d": ' + mid + "}")
-                if middle.keys() == {"d", "generators", "index", "n"} and (middle["d"], middle["n"]) == (d, n):
+                try:
+                    middle = json.loads('{"d": ' + mid + "}", object_pairs_hook=ineq.unique_keys)
+                except ValueError:
+                    middle = {}
+                size = middle.get("d"), middle.get("n")
+                if middle.keys() == {"d", "generators", "index", "n"} and _is_size(*size) and size == (d, n):
                     yield kept[head, tail]
                     continue
             try:
                 rec = json.loads(line, object_pairs_hook=ineq.unique_keys)
+                if not _is_size(rec["d"], rec["n"]):
+                    raise ValueError(f"(d, n) = ({rec['d']!r}, {rec['n']!r}) is not a valid size")
                 if d is None:
                     d, n = rec["d"], rec["n"]
-                    if not (type(d) is type(n) is int and d >= 2 and n >= 1):
-                        raise ValueError(f"(d, n) = ({d!r}, {n!r}) is not a valid size")
                     if d ** (2 * n) > ENUMERATION_GUARD:
                         raise ValueError(f"d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}")
-                    sizes = [subset_size(mask) for mask in range(1 << n)]
-                    fulls = [d ** (2 * size) for size in sizes[1:]]
                     ps = PhaseSpace(n, d)
                 elif (rec["d"], rec["n"]) != (d, n):
                     raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
-                quantum = _block_orders(rec, QUANTUM, sizes)
-                classical = _block_orders(rec, CLASSICAL, sizes)
-                vec = vector_from_orders(ps, quantum, kind)
-                if any(c * q != full for c, q, full in zip(classical, quantum, fulls)):
-                    raise ValueError("classical orders are not d^(2|I|) / quantum orders")
+                orders = tuple(e["order"] for e in rec[QUANTUM]["entries"])
+                vecs, texts = built[orders] = built.get(orders) or _blocks(ps, orders)
+                for block, text in zip((CLASSICAL, QUANTUM), texts):
+                    if json.dumps(rec[block], sort_keys=True) != text:
+                        raise ValueError(f"{block} block is not the one enumerate writes for its quantum orders")
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"record {idx}: {detail}") from None
-            # each block text, completed to a one-key object, must serialize as its block does
-            if cut and line.startswith('{"classical": '):
-                texts = [_parsed(head + "}"), _parsed('{"quantum": ' + tail)]
-                if json.dumps(texts) == json.dumps([{CLASSICAL: rec[CLASSICAL]}, {QUANTUM: rec[QUANTUM]}]):
-                    kept[head, tail] = vec
-            yield vec
+            yield kept.setdefault(('{"classical": ' + texts[0], texts[1] + "}\n"), vecs[kind == QUANTUM])
     if d is None:
         raise ValueError("empty corpus")
 

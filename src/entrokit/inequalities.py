@@ -506,7 +506,8 @@ def verify_batch(
     The smallest value is tracked as the first exact pair (lhs, rhs) with the
     least ratio lhs/rhs in state, then inequality order, compared by
     cross-multiplying; a repeated vector repeats pairs already compared.
-    ``min_slack`` is log_d of that ratio, so a tight instance reads exactly 0.0.
+    ``min_slack`` is log_d of that ratio, exactly rounded at every prime power d,
+    so a tight instance reads exactly 0.0.
     """
     ineqs = list(inequalities)
     report = VerificationReport(name)
@@ -525,6 +526,12 @@ def verify_batch(
                 low_lhs, low_rhs = lhs, rhs
             report.failures.append(failures)
         report.vector_ids.append(vid)
-    if low_rhs:
-        report.min_slack = (math.log(low_lhs) - math.log(low_rhs)) / math.log(d)
+    if low_rhs:  # exact when lhs/rhs = prod p^(k r) over the p^k of d for one rational r, as at a prime power
+        size = max(low_lhs, low_rhs).bit_length()  # each exponent is below 2 size k
+        lhs, rhs = (_exponents(d, size, x) for x in (low_lhs, low_rhs))
+        rates = [(a - b, k) for a, b, (_, k) in zip(lhs, rhs, _prime_powers(d))]
+        if all(e * rates[0][1] == rates[0][0] * k for e, k in rates):
+            report.min_slack = rates[0][0] / rates[0][1]  # int / int rounds correctly
+        else:
+            report.min_slack = (math.log(low_lhs) - math.log(low_rhs)) / math.log(d)
     return report

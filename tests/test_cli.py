@@ -55,6 +55,15 @@ def test_verify_pass_and_fail(outdir):
     assert main(["verify", "--corpus", corpus, "--family", "monotonicity", "--kind", "classical"]) == 0
 
 
+def test_verify_prints_an_exact_min_slack(outdir):
+    # log(lhs) - log(rhs) over log 2 read 1.9999999999999998 for the exact slack of 2
+    corpus = str(outdir / "corpus.json")
+    assert main(["enumerate", "--d", "2", "--n", "3", "--out", corpus]) == 0
+    assert main(["verify", "--corpus", corpus, "--family", "weak_monotonicity", "--kind", "classical"]) == 0
+    with open(outdir / "report.json") as fh:
+        assert '"min_slack": 2.0,' in fh.read()
+
+
 def test_verify_balanced_only_drops_unbalanced(outdir, capsys):
     corpus = str(outdir / "corpus.json")
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
@@ -152,6 +161,13 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         lambda rec: rec["classical"]["entries"][0].update(size=True),
         lambda rec: rec["classical"]["entries"][0].update(order=2 * rec["classical"]["entries"][0]["order"]),
         lambda rec: next(e for e in rec["quantum"]["entries"] if e["mask"] == 3).update(order=3),
+        lambda rec: rec["quantum"]["entries"].reverse(),
+        lambda rec: rec["quantum"]["entries"][0].update(z=0),
+        lambda rec: rec["classical"].update(z=0),
+        lambda rec: rec["quantum"]["entries"][0].update(entropy_log_d=7.5),
+        lambda rec: rec["quantum"].update(kind="classical"),
+        lambda rec: rec.update(d=2.0),
+        lambda rec: rec.update(n=2.0),
     ],
     ids=[
         "missing-entry",
@@ -163,9 +179,18 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         "bool-size",
         "classical-breaks-identity",
         "quantum-not-a-divisor",
+        "entries-reordered",
+        "extra-entry-key",
+        "extra-block-key",
+        "entropy-off",
+        "kind-swapped",
+        "float-d",
+        "float-n",
     ],
 )
 def test_verify_rejects_malformed_record(outdir, capsys, edit):
+    # the last seven edits passed while the reader checked the blocks field by field,
+    # not as the text enumerate writes, and type-checked only record 0's (d, n)
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
     lines = corpus.read_text().splitlines()
@@ -198,8 +223,9 @@ def repeated_record(lines):
         (', "n": 2,', ","),
         # a key repeated across the record, not within its middle: its last quantum block is still the kept one
         (', "n": 2,', ', "n": 2, "quantum": {{"entries": [], "kind": "quantum"}},'),
+        (', "d": 2,', ', "d": 2.0,'),
     ],
-    ids=["repeated-index", "d-3", "missing-n", "repeated-quantum"],
+    ids=["repeated-index", "d-3", "missing-n", "repeated-quantum", "float-d"],
 )
 def test_verify_checks_the_middle_of_a_repeated_record(outdir, capsys, old, new):
     corpus = outdir / "corpus.json"
@@ -218,8 +244,10 @@ def test_verify_checks_the_middle_of_a_repeated_record(outdir, capsys, old, new)
 
 
 def test_verify_keeps_no_block_text_cut_inside_a_block(outdir, capsys):
-    # record 0 is valid, but its first ', "d": ' lies inside its classical block; record 1
-    # repeats the text around that cut and is not JSON, so it must still be read in full
+    # record 0's first ', "d": ' lies inside its classical block, and record 1 repeats the text
+    # around that cut and is not JSON.  Record 0's extra "z" key makes its block differ from
+    # the one enumerate writes, so it is rejected itself; a record that passes is kept under
+    # its canonical texts, which hold no ', "d": ', so no kept cut can fall inside a block
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
     line = corpus.read_text().splitlines()[0]
@@ -229,7 +257,7 @@ def test_verify_keeps_no_block_text_cut_inside_a_block(outdir, capsys):
     corpus.write_text(first + "\n" + second + "\n")
     capsys.readouterr()
     assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
-    assert capsys.readouterr().err.startswith("error: record 1: ")
+    assert capsys.readouterr().err.startswith("error: record 0: classical block ")
 
 
 def test_verify_parses_each_repeated_record_only_in_its_middle(outdir, monkeypatch):
@@ -237,12 +265,14 @@ def test_verify_parses_each_repeated_record_only_in_its_middle(outdir, monkeypat
 
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
-    blocks = cli._block_orders
-    calls = []
-    monkeypatch.setattr(cli, "_block_orders", lambda *a: calls.append(a[1]) or blocks(*a))
+    blocks, loads = cli._blocks, cli.json.loads
+    calls, parsed = [], []
+    monkeypatch.setattr(cli, "_blocks", lambda *a: calls.append(a[1]) or blocks(*a))
+    monkeypatch.setattr(cli.json, "loads", lambda text, **kw: parsed.append(text[:6]) or loads(text, **kw))
     assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 0
     assert read_lines(outdir / "report.json")[0]["states_checked"] == 514
-    assert len(calls) == 2 * 26  # both blocks of each of the 26 distinct vectors, once
+    assert len(calls) == len(set(calls)) == 26  # the blocks of each of the 26 distinct vectors, once
+    assert parsed.count('{"clas') == 26 and parsed.count('{"d": ') == 514 - 26  # the others only in the middle
 
 
 def test_verify_report_does_not_depend_on_the_corpus_layout(outdir, capsys):
@@ -264,6 +294,44 @@ def test_verify_report_does_not_depend_on_the_corpus_layout(outdir, capsys):
             assert runs[0] == runs[1]
             reports += runs[0][2] is not None
     assert reports == 6  # ingleton needs n >= 4 and zhang_yeung n = 4
+
+
+def reversed_keys(obj):
+    """``obj`` with the keys of every object in it in reverse order."""
+    if isinstance(obj, dict):
+        return {k: reversed_keys(v) for k, v in reversed(obj.items())}
+    return [reversed_keys(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def test_verify_reads_blocks_in_any_key_order(outdir):
+    # a block is compared with enumerate's text after sorting its keys, at every depth
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
+    other = outdir / "other.json"
+    other.write_text("".join(json.dumps(reversed_keys(rec)) + "\n" for rec in read_lines(corpus)))
+    assert other.read_text().startswith('{"quantum": {"kind": "quantum", "entries": [{"size": 1, ')
+    for kind in ("quantum", "classical"):
+        reports = []
+        for path in (corpus, other):
+            out = outdir / f"{path.stem}_{kind}.json"
+            assert main(["verify", "--corpus", str(path), "--family", "ssa", "--kind", kind, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_verify_rejects_a_bool_n(outdir, capsys, k):
+    # true == 1, so only a type check tells "n": true from "n": 1; record 3 repeats record 2's blocks
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "1", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    assert lines[3].split(', "d": ')[0] == lines[2].split(', "d": ')[0]
+    lines[k] = lines[k].replace(', "n": 1,', ', "n": true,')
+    corpus.write_text("\n".join(lines) + "\n")
+    (outdir / "ineqs.json").write_text('{"n": 1, "nu": {"1": 1}}\n')
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--inequality", str(outdir / "ineqs.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: record {k}: (d, n) = (2, True) is not a valid size")
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,7 +291,25 @@ def unmemoised(qs, vectors):
                 low = (lhs, rhs)
             if not ok:
                 violations.append(ineq.Violation(k, q.name, lhs, rhs))
-    return violations, (math.log(low[0]) - math.log(low[1])) / math.log(vectors[0].d)
+    return violations, exact_slack(*low, vectors[0].d)
+
+
+def exact_slack(lhs, rhs, d):
+    """log_d(lhs / rhs) as the float nearest r when lhs / rhs = d^r for a rational r,
+    by trial division of d and of the ratio; else the float of the logs."""
+    ratio, rates, rest = Fraction(lhs, rhs), set(), d
+    for p in range(2, d + 1):
+        k = 0
+        while rest % p == 0:
+            rest, k = rest // p, k + 1
+        if k:
+            e, x = 0, ratio
+            while x.numerator % p == 0 or x.denominator % p == 0:
+                x, e = (x / p, e + 1) if x.numerator % p == 0 else (x * p, e - 1)
+            rates.add(Fraction(e, k))
+    if len(rates) == 1:
+        return float(rates.pop())
+    return (math.log(lhs) - math.log(rhs)) / math.log(d)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (4, 2), (6, 1), (6, 2)])
@@ -508,8 +527,8 @@ def test_kernel_minimum_is_a_holding_pair():
     for qs, low in (([twice, wide, narrow], (8, 4)), ([twice, narrow, wide], (2, 1))):
         assert ineq._evaluate(qs, vec) == reference_low(qs, vec) == ([], low)
         assert ineq.verify_batch(qs, [vec]).min_slack == unmemoised(qs, [vec])[1]
-    # the two lows differ in the last bit of min_slack
-    assert ineq.verify_batch([wide], [vec]).min_slack != ineq.verify_batch([narrow], [vec]).min_slack
+    # log_2(8/4) and log_2(2/1) are both exactly 1.0; the float of the logs differed in the last bit
+    assert ineq.verify_batch([wide], [vec]).min_slack == ineq.verify_batch([narrow], [vec]).min_slack == 1.0
 
 
 def test_kernel_first_violation_follows_a_tight_pair():

@@ -51,6 +51,21 @@ def test_maximal_isotropic_count_prime_d(d, n, corpus):
     assert count == expect
 
 
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+)
+def test_isotropic_counts_of_every_order_match_the_closed_form(d, n, corpus):
+    # at prime d, prod_{i<k} (d^(2(n-i)) - 1) / (d^(i+1) - 1) isotropic subgroups have order d^k;
+    # taken as a ratio of products, since a single factor need not be an integer
+    expect = {}
+    for k in range(n + 1):
+        num = math.prod(d ** (2 * (n - i)) - 1 for i in range(k))
+        den = math.prod(d ** (i + 1) - 1 for i in range(k))
+        assert num % den == 0
+        expect[d**k] = num // den
+    assert dict(Counter(st.M.order for st in corpus(d, n))) == expect
+
+
 def order_census(d, n):
     """The multiset of quantum order tuples over every isotropic subgroup."""
     ps = PhaseSpace(n, d)
