@@ -1,8 +1,8 @@
 """Command-line surface: reproducible experiments with machine-readable output.
 
-Output is line-delimited JSON.  Every stochastic subcommand requires an
-explicit seed.  Exit codes: 0 pass, 1 verification failure, 2 usage or input
-error; an unreadable input or unwritable output path is an input error.
+Output is line-delimited JSON; every stochastic subcommand needs an explicit seed.
+Exit codes: 0 pass, 1 verification failure, 2 usage or input error.  ``main`` prints
+each input error (a bad argument, path, file or size, library guards included) as one ``error:`` line.
 numpy and the modules built on it (``gaussian``, ``oracle``) are
 imported only by the subcommands that use them, so ``enumerate`` and
 ``verify`` start without them; nothing in the package imports
@@ -23,10 +23,10 @@ from . import inequalities as ineq
 from .phasespace import PhaseSpace, subset_size, subsystem_orders
 from .stabilizer import (
     CLASSICAL,
-    ENUMERATION_GUARD,
     QUANTUM,
     EntropyVector,
     StabilizerState,
+    check_guard,
     enumerate_isotropic,
     vector_from_orders,
 )
@@ -52,14 +52,12 @@ def _vector_obj(vec: EntropyVector) -> dict:
 
 def cmd_enumerate(args) -> int:
     d, n = args.d, args.n
-    if d**(2 * n) > ENUMERATION_GUARD:
-        print(f"error: d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}", file=sys.stderr)
-        return 2
-    out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     ps = PhaseSpace(n, d)
+    subgroups = enumerate_isotropic(ps)  # its guard runs here, before --out is opened
+    out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     blocks: dict[tuple[int, ...], tuple[str, str]] = {}  # quantum orders -> both block texts
     with open(out, "w") as fh:
-        for idx, M in enumerate(enumerate_isotropic(ps)):
+        for idx, M in enumerate(subgroups):
             orders = subsystem_orders(ps, M)  # the one kernel run per state
             if orders not in blocks:
                 blocks[orders] = _blocks(ps, orders)[1]
@@ -117,7 +115,7 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
             mid, cut, tail = rest.rpartition(', "quantum": ') if cut else ("", "", "")
             if cut and (head, tail) in kept:
                 try:
-                    middle = json.loads('{"d": ' + mid + "}", object_pairs_hook=ineq.unique_keys)
+                    middle = ineq.strict_json.decode('{"d": ' + mid + "}")
                 except ValueError:
                     middle = {}
                 size = middle.get("d"), middle.get("n")
@@ -125,14 +123,13 @@ def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
                     yield kept[head, tail]
                     continue
             try:
-                rec = json.loads(line, object_pairs_hook=ineq.unique_keys)
+                rec = ineq.strict_json.decode(line)
                 if not _is_size(rec["d"], rec["n"]):
                     raise ValueError(f"(d, n) = ({rec['d']!r}, {rec['n']!r}) is not a valid size")
                 if d is None:
                     d, n = rec["d"], rec["n"]
-                    if d ** (2 * n) > ENUMERATION_GUARD:
-                        raise ValueError(f"d^(2n) = {d ** (2 * n)} exceeds guard {ENUMERATION_GUARD}")
                     ps = PhaseSpace(n, d)
+                    check_guard(ps)
                 elif (rec["d"], rec["n"]) != (d, n):
                     raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
                 orders = tuple(e["order"] for e in rec[QUANTUM]["entries"])
@@ -162,8 +159,7 @@ def _inequality(k: int, line: str, n: int) -> ineq.Inequality:
 def cmd_verify(args) -> int:
     out = _resolve(args.out, "report.json")
     if os.path.realpath(out) in {os.path.realpath(p) for p in (args.corpus, args.inequality) if p}:
-        print(f"error: --out {out} is an input file", file=sys.stderr)
-        return 2
+        raise ValueError(f"--out {out} is an input file")
     fh = open(out, "w")  # before the work, so that a bad --out fails at once
     try:
         with fh:
@@ -182,10 +178,9 @@ def cmd_verify(args) -> int:
             report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
             fh.writelines(report.chunks())
             fh.write("\n")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError):
         os.remove(out)  # no rc-2 path leaves a report
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise
     print(out)
     return 0 if report.passed else 1
 
@@ -194,13 +189,11 @@ def cmd_oracle_check(args) -> int:
     from . import oracle
 
     d, n = args.d, args.n
-    if d**n > oracle.DENSE_GUARD:
-        print(f"error: d^n = {d ** n} exceeds dense guard {oracle.DENSE_GUARD}", file=sys.stderr)
-        return 2
+    ps = PhaseSpace(n, d)
+    oracle.check_guard(ps)
     checks = {"states": 0, "entropy": 0.0, "projector": 0.0, "wigner": 0.0}
     tolerances = {"projector": oracle.ATOL_STRUCT, "entropy": oracle.ATOL_EIG, "wigner": oracle.ATOL_WIGNER}
     ok = True
-    ps = PhaseSpace(n, d)
     out = _resolve(args.out, f"oracle_check_d{d}_n{n}.json")
     fh = open(out, "w")  # before the work, so that a bad --out fails at once
     try:
@@ -230,12 +223,8 @@ def cmd_gaussian(args) -> int:
     # every rc-2 check runs before --out is opened, so none leaves a file behind
     if args.gaussian_cmd == "mc":
         g, mask = _mc_fixture(args.fixture)
-        if g is None:
-            print(f"error: unknown fixture {args.fixture!r}", file=sys.stderr)
-            return 2
         if args.samples < gsn.MC_MIN_SAMPLES:
-            print("error: need at least 10^4 samples", file=sys.stderr)
-            return 2
+            raise ValueError("need at least 10^4 samples")
     out = _resolve(args.out, f"gaussian_{args.gaussian_cmd}.json")
     with open(out, "w") as fh:
         if args.gaussian_cmd == "verify":
@@ -295,7 +284,7 @@ def _mc_fixture(name: str):
         c, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
         sig = np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
         return gsn.GaussianState(2, np.zeros(4), sig), 3
-    return None, None
+    raise ValueError(f"unknown fixture {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,19 +342,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    for attr in ("d", "n", "trials", "samples", "iters"):
-        if getattr(args, attr, 1) is not None and getattr(args, attr, 1) < 1:
-            print(f"error: --{attr} must be positive", file=sys.stderr)
-            return 2
-    if getattr(args, "seed", 0) < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return 2
-    if getattr(args, "d", 2) < 2:
-        print("error: --d must be >= 2", file=sys.stderr)
-        return 2
-    try:
+    try:  # the one place an input error becomes an error: line and exit 2
+        for attr in ("d", "n", "trials", "samples", "iters"):
+            if getattr(args, attr, 1) is not None and getattr(args, attr, 1) < 1:
+                raise ValueError(f"--{attr} must be positive")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be non-negative")
+        if getattr(args, "d", 2) < 2:
+            raise ValueError("--d must be >= 2")
         return args.func(args)
-    except OSError as exc:  # an unreadable input or unwritable output path
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from .value import Value
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``object_pairs_hook`` for ``json.loads`` that rejects a repeated key.
+    """``object_pairs_hook`` of ``strict_json`` that rejects a repeated key.
 
     Plain ``json.loads`` keeps the last of two equal keys and drops the first
     silently; this raises ValueError instead.
@@ -46,6 +46,9 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         keys = [k for k, _ in pairs]
         raise ValueError(f"key {next(k for k in obj if keys.count(k) > 1)!r} appears twice")
     return obj
+
+
+strict_json = json.JSONDecoder(object_pairs_hook=unique_keys)  # built once; json.loads(hook=) builds one a call
 
 
 class Inequality(Value):
@@ -78,7 +81,7 @@ class Inequality(Value):
         """One JSON object, no key repeated: int ``n >= 1``, ``nu`` mapping canonical
         decimal masks ("5", not "05", " 5" or "٥") to ints, an optional string
         ``name``; else ValueError."""
-        obj = json.loads(text, object_pairs_hook=unique_keys)
+        obj = strict_json.decode(text)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         n, nu, name = obj.get("n"), obj.get("nu"), obj.get("name", "")

@@ -53,9 +53,10 @@ ATOL_WIGNER = 1e-10
 CHUNK_BYTES = 1 << 18  # per batch, for the complex B x d x D x D Weyl powers
 
 
-def _check_guard(ps: PhaseSpace) -> None:
-    if ps.d**ps.n > DENSE_GUARD:
-        raise ValueError(f"dense dimension {ps.d ** ps.n} exceeds guard {DENSE_GUARD}")
+def check_guard(ps: PhaseSpace) -> None:
+    """ValueError if d^n > DENSE_GUARD, with no giant power built, as in ``stabilizer.check_guard``."""
+    if ps.n >= DENSE_GUARD.bit_length() or ps.d**ps.n > DENSE_GUARD:
+        raise ValueError(f"d^n = {ps.d}^{ps.n} exceeds the dense guard {DENSE_GUARD}")
 
 
 def _monomial(cols: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -91,7 +92,7 @@ def weyl_n(ps: PhaseSpace, v, factor=weyl) -> np.ndarray:
     the column with digits (x_i - q_i) mod d and the product of the factors'
     entries there.  One ``factor`` call covers the whole stack.
     """
-    _check_guard(ps)
+    check_guard(ps)
     v = np.asarray(v)
     if v.shape[-1:] != (ps.m,):
         raise ValueError(f"vector must have length {ps.m}")
@@ -112,7 +113,7 @@ def _space(states: Sequence[StabilizerState]) -> PhaseSpace:
     ps = states[0].ps
     if any(st.ps != ps for st in states):
         raise ValueError("states live on different phase spaces")
-    _check_guard(ps)
+    check_guard(ps)
     return ps
 
 
@@ -230,7 +231,7 @@ def wigner(rho: np.ndarray, ps: PhaseSpace) -> np.ndarray:
     """
     if ps.d % 2 == 0:
         raise ValueError("the discrete Wigner function is only defined for odd d")
-    _check_guard(ps)
+    check_guard(ps)
     d, n = ps.d, ps.n
     t = np.arange(d)[:, None]
     c = (d + 1) // 2 * np.arange(d)[None, :]

@@ -35,6 +35,12 @@ ENUMERATION_GUARD = 2**24
 _Entry = namedtuple("_Entry", "subset_size subgroup_order")
 
 
+def check_guard(ps: PhaseSpace) -> None:
+    """ValueError if d^(2n) > ENUMERATION_GUARD, building no giant power: as d >= 2, 2n >= its bit length is past it."""
+    if ps.m >= ENUMERATION_GUARD.bit_length() or ps.d**ps.m > ENUMERATION_GUARD:
+        raise ValueError(f"d^(2n) = {ps.d}^{ps.m} exceeds the enumeration guard {ENUMERATION_GUARD}")
+
+
 def _check_orders(n: int, orders: tuple[int, ...]) -> None:
     """A tuple of ints, one per nonempty subset; a dict or a list is refused,
     since iterating a mask -> order dict would yield the masks."""
@@ -146,12 +152,9 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[Subgroup]:
     column 0; at each column the pivots in decreasing order, so the trivial
     row comes first, and for each pivot the tails in lexicographic order.
     The trivial subgroup is emitted first.  A corpus's ``index`` follows this
-    order.
+    order.  The guard runs at the call, not at the first ``next()``.
     """
-    if ps.d ** ps.m > ENUMERATION_GUARD:
-        raise ValueError(
-            f"d^(2n) = {ps.d ** ps.m} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
+    check_guard(ps)
     d, m, n = ps.d, ps.m, ps.n
     divisors = [p for p in range(d, 0, -1) if d % p == 0]
     trivial = tuple(tuple(d * (j == i) for j in range(m)) for i in range(m))
@@ -178,4 +181,4 @@ def enumerate_isotropic(ps: PhaseSpace) -> Iterator[Subgroup]:
                 if not any(phsp.form(row, g) % d for g in gens) and below.contains([(d // p) * x for x in row]):
                     yield from rows_from(i - 1, (row,) + rows, (row,) + gens, order * (d // p))
 
-    yield from rows_from(m - 1, (), (), 1)
+    return rows_from(m - 1, (), (), 1)

@@ -44,6 +44,34 @@ def test_enumerate_guard(outdir, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--d", "3", "--n", "3000000"],
+        ["oracle-check", "--d", "2", "--n", "20000"],
+        ["verify", "--corpus", "huge.json", "--family", "ssa"],
+    ],
+    ids=["enumerate", "oracle-check", "verify"],
+)
+def test_a_huge_size_is_one_guard_error_line(outdir, capsys, argv):
+    # d^(2n) at d = 3, n = 3 000 000 has far more than the 4 300 digits an int may print with
+    record = {"classical": {}, "d": 3, "generators": [], "index": 0, "n": 3000000, "quantum": {}}
+    (outdir / "huge.json").write_text(json.dumps(record) + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "guard" in err
+    assert os.listdir(outdir) == ["huge.json"]
+
+
+def test_a_guard_error_leaves_an_existing_out_untouched(outdir, capsys):
+    out = outdir / "kept.json"
+    out.write_text("kept\n")
+    for argv in (["enumerate", "--d", "7", "--n", "5"], ["oracle-check", "--d", "5", "--n", "6"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "guard" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+
 def test_verify_pass_and_fail(outdir):
     corpus = str(outdir / "corpus.json")
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", corpus]) == 0
@@ -265,10 +293,10 @@ def test_verify_parses_each_repeated_record_only_in_its_middle(outdir, monkeypat
 
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
-    blocks, loads = cli._blocks, cli.json.loads
+    blocks, decode = cli._blocks, cli.ineq.strict_json.decode
     calls, parsed = [], []
     monkeypatch.setattr(cli, "_blocks", lambda *a: calls.append(a[1]) or blocks(*a))
-    monkeypatch.setattr(cli.json, "loads", lambda text, **kw: parsed.append(text[:6]) or loads(text, **kw))
+    monkeypatch.setattr(cli.ineq.strict_json, "decode", lambda text: parsed.append(text[:6]) or decode(text))
     assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 0
     assert read_lines(outdir / "report.json")[0]["states_checked"] == 514
     assert len(calls) == len(set(calls)) == 26  # the blocks of each of the 26 distinct vectors, once
@@ -452,6 +480,21 @@ def test_isotropy_is_checked_by_oracle_check_alone(outdir, monkeypatch):
     assert calls == []
     assert main(["oracle-check", "--d", "3", "--n", "1"]) == 0
     assert read_lines(outdir / "oracle_check_d3_n1.json")[0]["states"] == len(calls) == 5
+
+
+def test_verify_rejects_a_byte_order_mark(outdir, capsys):
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
+    corpus.write_text("\ufeff" + corpus.read_text())
+    path = outdir / "ineqs.json"
+    path.write_text('\ufeff{"n": 2, "name": "ssa", "nu": {"1": 1, "2": 1, "3": -1}}\n')
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert capsys.readouterr().err.startswith("error: record 0: ")
+    corpus.write_text(corpus.read_text()[1:])
+    assert main(["verify", "--corpus", str(corpus), "--inequality", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: inequality 0: ")
+    assert not (outdir / "report.json").exists()
 
 
 def test_verify_missing_corpus(outdir, capsys):

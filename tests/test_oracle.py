@@ -456,3 +456,11 @@ def test_dense_guard():
     with pytest.raises(ValueError):
         oracle.weyl_n(ps, [0] * 14)
 
+
+def test_dense_guard_bounds():
+    oracle.check_guard(PhaseSpace(12, 2))  # 2^12 is the guard itself
+    oracle.check_guard(PhaseSpace(1, 4096))
+    for ps in (PhaseSpace(13, 2), PhaseSpace(1, 4097), PhaseSpace(3, 17), PhaseSpace(10**7, 2)):
+        with pytest.raises(ValueError, match="dense guard"):
+            oracle.check_guard(ps)
+

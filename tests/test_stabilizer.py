@@ -13,6 +13,7 @@ from entrokit.stabilizer import (
     QUANTUM,
     EntropyVector,
     StabilizerState,
+    check_guard,
     entropy_vector,
     enumerate_isotropic,
     order_identity_check,
@@ -131,6 +132,19 @@ def test_passed_in_generators_are_still_checked_for_isotropy():
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         list(enumerate_isotropic(PhaseSpace(6, 5)))  # 5^12 > 2^24
+
+
+def test_enumeration_guard_runs_at_the_call():
+    with pytest.raises(ValueError, match=r"d\^\(2n\) = 5\^12 exceeds the enumeration guard"):
+        enumerate_isotropic(PhaseSpace(6, 5))  # no next() needed
+
+
+def test_enumeration_guard_bounds():
+    check_guard(PhaseSpace(12, 2))  # 2^24 is the guard itself
+    check_guard(PhaseSpace(1, 4096))
+    for ps in (PhaseSpace(13, 2), PhaseSpace(1, 4097), PhaseSpace(6, 17), PhaseSpace(10**7, 2)):
+        with pytest.raises(ValueError, match="enumeration guard"):
+            check_guard(ps)
 
 
 def test_state_validation():
