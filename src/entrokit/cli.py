@@ -1,8 +1,11 @@
 """Command-line surface: reproducible experiments with machine-readable output.
 
 Output is line-delimited JSON; every stochastic subcommand needs an explicit seed.
-Exit codes: 0 pass, 1 verification failure, 2 usage or input error.  ``main`` prints
-each input error (a bad argument, path, file or size, library guards included) as one ``error:`` line.
+Exit codes: 0 pass, 1 verification failure, 2 usage or input error.  ``main`` alone
+writes the output: the subcommand gets an open temporary file beside ``--out`` (or its
+default name), which replaces the target only when the subcommand returns.  ``main``
+alone prints errors: one ``error:`` line per input error (a bad argument, path, file
+or size, library guards included), and per ``CheckFailed``, which exits 1.
 numpy and the modules built on it (``gaussian``, ``oracle``) are
 imported only by the subcommands that use them, so ``enumerate`` and
 ``verify`` start without them; nothing in the package imports
@@ -34,10 +37,8 @@ from .stabilizer import (
 OUTPUT_DIR_ENV = "ENTROKIT_OUTPUT_DIR"
 
 
-def _resolve(path: Optional[str], default_name: str) -> str:
-    if path:
-        return path
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
+class CheckFailed(Exception):
+    """A check that could not run to its end: ``main`` prints it and exits 1."""
 
 
 def _vector_obj(vec: EntropyVector) -> dict:
@@ -50,25 +51,21 @@ def _vector_obj(vec: EntropyVector) -> dict:
     }
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, fh) -> int:
     d, n = args.d, args.n
     ps = PhaseSpace(n, d)
-    subgroups = enumerate_isotropic(ps)  # its guard runs here, before --out is opened
-    out = _resolve(args.out, f"corpus_d{d}_n{n}.json")
     blocks: dict[tuple[int, ...], tuple[str, str]] = {}  # quantum orders -> both block texts
-    with open(out, "w") as fh:
-        for idx, M in enumerate(subgroups):
-            orders = subsystem_orders(ps, M)  # the one kernel run per state
-            if orders not in blocks:
-                blocks[orders] = _blocks(ps, orders)[1]
-            classical, quantum = blocks[orders]
-            gens = json.dumps(M.generators())
-            # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
-            fh.write(
-                f'{{"classical": {classical}, "d": {d}, "generators": {gens}, "index": {idx},'
-                f' "n": {n}, "quantum": {quantum}}}\n'
-            )
-    print(out)
+    for idx, M in enumerate(enumerate_isotropic(ps)):
+        orders = subsystem_orders(ps, M)  # the one kernel run per state
+        if orders not in blocks:
+            blocks[orders] = _blocks(ps, orders)[1]
+        classical, quantum = blocks[orders]
+        gens = json.dumps(M.generators())
+        # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
+        fh.write(
+            f'{{"classical": {classical}, "d": {d}, "generators": {gens}, "index": {idx},'
+            f' "n": {n}, "quantum": {quantum}}}\n'
+        )
     return 0
 
 
@@ -156,36 +153,28 @@ def _inequality(k: int, line: str, n: int) -> ineq.Inequality:
     return q
 
 
-def cmd_verify(args) -> int:
-    out = _resolve(args.out, "report.json")
-    if os.path.realpath(out) in {os.path.realpath(p) for p in (args.corpus, args.inequality) if p}:
-        raise ValueError(f"--out {out} is an input file")
-    fh = open(out, "w")  # before the work, so that a bad --out fails at once
-    try:
-        with fh:
-            vectors = _corpus_vectors(args.corpus, args.kind)
-            first = next(vectors)
-            if args.inequality:
-                with open(args.inequality) as inp:
-                    lines = [line for line in inp if line.strip()]
-                ineqs = [_inequality(k, line, first.n) for k, line in enumerate(lines)]
-            else:
-                ineqs = ineq.instances(args.family, first.n)
-            if args.balanced_only:
-                ineqs = [q for q in ineqs if ineq.is_balanced(q)]
-            if not ineqs:
-                raise ValueError("no inequalities selected")
-            report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
-            fh.writelines(report.chunks())
-            fh.write("\n")
-    except (OSError, ValueError):
-        os.remove(out)  # no rc-2 path leaves a report
-        raise
-    print(out)
+def cmd_verify(args, fh) -> int:
+    if os.path.realpath(args.out) in {os.path.realpath(p) for p in (args.corpus, args.inequality) if p}:
+        raise ValueError(f"--out {args.out} is an input file")
+    vectors = _corpus_vectors(args.corpus, args.kind)
+    first = next(vectors)
+    if args.inequality:
+        with open(args.inequality) as inp:
+            lines = [line for line in inp if line.strip()]
+        ineqs = [_inequality(k, line, first.n) for k, line in enumerate(lines)]
+    else:
+        ineqs = ineq.instances(args.family, first.n)
+    if args.balanced_only:
+        ineqs = [q for q in ineqs if ineq.is_balanced(q)]
+    if not ineqs:
+        raise ValueError("no inequalities selected")
+    report = ineq.verify_batch(ineqs, chain([first], vectors), args.family or "file")
+    fh.writelines(report.chunks())
+    fh.write("\n")
     return 0 if report.passed else 1
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args, fh) -> int:
     from . import oracle
 
     d, n = args.d, args.n
@@ -194,79 +183,68 @@ def cmd_oracle_check(args) -> int:
     checks = {"states": 0, "entropy": 0.0, "projector": 0.0, "wigner": 0.0}
     tolerances = {"projector": oracle.ATOL_STRUCT, "entropy": oracle.ATOL_EIG, "wigner": oracle.ATOL_WIGNER}
     ok = True
-    out = _resolve(args.out, f"oracle_check_d{d}_n{n}.json")
-    fh = open(out, "w")  # before the work, so that a bad --out fails at once
     try:
-        with fh:
-            states = (StabilizerState(ps, M) for M in enumerate_isotropic(ps))  # each one checked
-            for chunk in oracle.chunks(states, ps):
-                checks["states"] += len(chunk)
-                for key, errs in oracle.cross_check(chunk).items():
-                    checks[key] = float(errs.max(initial=checks[key]))  # keeps a NaN, as the builtin max would not
-                    ok &= bool((errs < tolerances[key]).all())
-            report = {"d": d, "n": n, "passed": bool(ok)}
-            report.update(checks)
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+        states = (StabilizerState(ps, M) for M in enumerate_isotropic(ps))  # each one checked
+        for chunk in oracle.chunks(states, ps):
+            checks["states"] += len(chunk)
+            for key, errs in oracle.cross_check(chunk).items():
+                checks[key] = float(errs.max(initial=checks[key]))  # keeps a NaN, as the builtin max would not
+                ok &= bool((errs < tolerances[key]).all())
     except ValueError as exc:  # a state the oracle cannot validate fails the check
-        os.remove(out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(out)
+        raise CheckFailed(exc) from None
+    report = {"d": d, "n": n, "passed": bool(ok)}
+    report.update(checks)
+    fh.write(json.dumps(report, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 
-def cmd_gaussian(args) -> int:
+def cmd_gaussian(args, fh) -> int:
     import numpy as np
 
     from . import gaussian as gsn
 
-    # every rc-2 check runs before --out is opened, so none leaves a file behind
-    if args.gaussian_cmd == "mc":
+    if args.gaussian_cmd == "verify":
+        rng = np.random.default_rng(args.seed)
+        n = args.n
+        worst = 0.0
+        for _ in range(args.trials):
+            a = rng.standard_normal((2 * n, 2 * n + 2))
+            g = gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n))
+            for mask in range(1, 1 << n):
+                k = subset_size(mask)
+                s2 = gsn.renyi2_quantum(g, mask)
+                for alpha in (0.5, 2.0, 3.0):
+                    via = gsn.renyi_alpha_classical(g, mask, alpha) - k * gsn.renyi_correction(alpha)
+                    worst = max(worst, abs(via - s2))
+        ok = worst < 1e-10
+        line = json.dumps(
+            {"passed": ok, "trials": args.trials, "n": n, "seed": args.seed, "max_error": worst},
+            sort_keys=True,
+        )
+    elif args.gaussian_cmd == "mc":
         g, mask = _mc_fixture(args.fixture)
         if args.samples < gsn.MC_MIN_SAMPLES:
             raise ValueError("need at least 10^4 samples")
-    out = _resolve(args.out, f"gaussian_{args.gaussian_cmd}.json")
-    with open(out, "w") as fh:
-        if args.gaussian_cmd == "verify":
-            rng = np.random.default_rng(args.seed)
-            n = args.n
-            worst = 0.0
-            for _ in range(args.trials):
-                a = rng.standard_normal((2 * n, 2 * n + 2))
-                g = gsn.GaussianState(n, np.zeros(2 * n), a @ a.T + np.eye(2 * n))
-                for mask in range(1, 1 << n):
-                    k = subset_size(mask)
-                    s2 = gsn.renyi2_quantum(g, mask)
-                    for alpha in (0.5, 2.0, 3.0):
-                        via = gsn.renyi_alpha_classical(g, mask, alpha) - k * gsn.renyi_correction(alpha)
-                        worst = max(worst, abs(via - s2))
-            ok = worst < 1e-10
-            line = json.dumps(
-                {"passed": ok, "trials": args.trials, "n": n, "seed": args.seed, "max_error": worst},
-                sort_keys=True,
-            )
-        elif args.gaussian_cmd == "mc":
-            exact = gsn.renyi_alpha_classical(g, mask, 2.0)
-            est, se = gsn.mc_renyi2(g, mask, args.samples, args.seed)
-            ok = abs(est - exact) <= max(3 * se, 0.01 * abs(exact))
-            line = json.dumps(
-                {
-                    "fixture": args.fixture,
-                    "passed": ok,
-                    "samples": args.samples,
-                    "seed": args.seed,
-                    "exact": exact,
-                    "estimate": est,
-                    "stderr": se,
-                },
-                sort_keys=True,
-            )
-        else:  # ingleton-search; argparse admits no other subcommand
-            res = gsn.ingleton_search(args.seed, args.iters)
-            ok = res.found
-            line = res.to_json()
-        fh.write(line + "\n")
-    print(out)
+        exact = gsn.renyi_alpha_classical(g, mask, 2.0)
+        est, se = gsn.mc_renyi2(g, mask, args.samples, args.seed)
+        ok = abs(est - exact) <= max(3 * se, 0.01 * abs(exact))
+        line = json.dumps(
+            {
+                "fixture": args.fixture,
+                "passed": ok,
+                "samples": args.samples,
+                "seed": args.seed,
+                "exact": exact,
+                "estimate": est,
+                "stderr": se,
+            },
+            sort_keys=True,
+        )
+    else:  # ingleton-search; argparse admits no other subcommand
+        res = gsn.ingleton_search(args.seed, args.iters)
+        ok = res.found
+        line = res.to_json()
+    fh.write(line + "\n")
     return 0 if ok else 1
 
 
@@ -295,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, out_name="corpus_d{d}_n{n}.json")
 
     p = sub.add_parser("verify", help="verify inequalities against a corpus file")
     p.add_argument("--corpus", required=True)
@@ -305,33 +283,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=(QUANTUM, CLASSICAL), default=QUANTUM)
     p.add_argument("--balanced-only", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, out_name="report.json")
 
     p = sub.add_parser("oracle-check", help="dense-oracle vs phase-space comparison")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_oracle_check)
+    p.set_defaults(func=cmd_oracle_check, out_name="oracle_check_d{d}_n{n}.json")
 
     p = sub.add_parser("gaussian", help="Gaussian-state routines")
+    p.set_defaults(func=cmd_gaussian, out_name="gaussian_{gaussian_cmd}.json")
     gs = p.add_subparsers(dest="gaussian_cmd", required=True)
     g = gs.add_parser("verify")
     g.add_argument("--n", type=int, default=3)
     g.add_argument("--trials", type=int, default=100)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gaussian)
     g = gs.add_parser("mc")
     g.add_argument("--fixture", default="vacuum")
     g.add_argument("--samples", type=int, default=10**6)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gaussian)
     g = gs.add_parser("ingleton-search")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--iters", type=int, default=20000)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gaussian)
 
     return parser
 
@@ -342,7 +318,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:  # the one place an input error becomes an error: line and exit 2
+    try:  # the one place an error becomes an error: line, and an output file is written
         for attr in ("d", "n", "trials", "samples", "iters"):
             if getattr(args, attr, 1) is not None and getattr(args, attr, 1) < 1:
                 raise ValueError(f"--{attr} must be positive")
@@ -350,10 +326,29 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ValueError("--seed must be non-negative")
         if getattr(args, "d", 2) < 2:
             raise ValueError("--d must be >= 2")
-        return args.func(args)
-    except (OSError, ValueError) as exc:
+        name = args.out_name.format(**vars(args))
+        out = args.out = args.out or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
+        target = os.path.realpath(out)  # a symlinked --out is written through
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise ValueError(f"--out {out} is not a regular file")
+        tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        try:  # before the work, so that a bad --out fails at once
+            fh = open(tmp, "x")
+        except OSError as exc:
+            exc.filename = out  # name the path the user gave, not the temporary
+            raise
+        try:  # the target is replaced only by a finished output, and no temporary outlives the run
+            with fh:
+                rc = args.func(args, fh)
+            os.replace(tmp, target)
+        except BaseException:
+            os.remove(tmp)
+            raise
+        print(out)
+        return rc
+    except (OSError, ValueError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CheckFailed) else 2
 
 
 if __name__ == "__main__":

@@ -692,3 +692,88 @@ def test_output_dir_env_respected(outdir, tmp_path_factory):
         assert (other / "corpus_d2_n1.json").exists()
     finally:
         os.environ["ENTROKIT_OUTPUT_DIR"] = str(outdir)
+
+
+def test_verify_input_error_leaves_an_existing_out_untouched(outdir, capsys):
+    out = outdir / "keep.json"
+    out.write_bytes(b'{"an": "earlier report"}\n')
+    (outdir / "bad.json").write_text("not json\n")
+    assert main(["verify", "--corpus", "bad.json", "--family", "ssa", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: record 0: ")
+    assert out.read_bytes() == b'{"an": "earlier report"}\n'
+    assert sorted(os.listdir(outdir)) == ["bad.json", "keep.json"]
+
+
+def test_oracle_check_failure_leaves_an_existing_out_untouched(outdir, monkeypatch, capsys):
+    import numpy as np
+
+    from entrokit import oracle
+
+    monkeypatch.setattr(oracle, "projector", lambda states: np.zeros((len(states), 9, 9), dtype=complex))
+    out = outdir / "o.json"
+    out.write_text("kept\n")
+    assert main(["oracle-check", "--d", "3", "--n", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: projector has zero trace\n"
+    assert out.read_text() == "kept\n"
+    assert os.listdir(outdir) == ["o.json"]
+
+
+def test_an_interrupt_leaves_an_existing_out_untouched(outdir, monkeypatch):
+    import entrokit.cli as cli
+
+    kernel, runs = cli.subsystem_orders, []
+
+    def interrupted(ps, M):
+        runs.append(M)
+        if len(runs) == 5:
+            raise KeyboardInterrupt
+        return kernel(ps, M)
+
+    monkeypatch.setattr(cli, "subsystem_orders", interrupted)
+    out = outdir / "corpus.json"
+    out.write_text("kept\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "--d", "2", "--n", "2", "--out", str(out)])
+    assert len(runs) == 5
+    assert out.read_text() == "kept\n"
+    assert os.listdir(outdir) == ["corpus.json"]
+
+
+def test_a_fifo_out_is_refused_before_the_work(outdir):
+    # at a FIFO, open(out, "w") would wait for a reader forever: the child runs under a timeout
+    fifo = outdir / "fifo"
+    os.mkfifo(fifo)
+    src = os.path.dirname(os.path.dirname(entrokit.__file__))
+    argv = ["enumerate", "--d", "2", "--n", "1", "--out", str(fifo)]
+    code = f"import sys; from entrokit.cli import main; sys.exit(main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2
+    assert out.stderr == f"error: --out {fifo} is not a regular file\n"
+    assert out.stdout == ""
+    assert os.listdir(outdir) == ["fifo"]
+
+
+def test_a_symlinked_out_is_written_through(outdir, capsys):
+    real = outdir / "real.json"
+    real.write_text("old\n")
+    link = outdir / "link.json"
+    link.symlink_to(real)
+    assert main(["enumerate", "--d", "2", "--n", "1", "--out", str(link)]) == 0
+    assert capsys.readouterr().out == f"{link}\n"
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert len(read_lines(real)) == 4
+    assert sorted(os.listdir(outdir)) == ["link.json", "real.json"]
+
+
+def test_a_bad_out_directory_is_named_as_given(outdir, capsys):
+    # the error names the --out path, never the temporary created beside it
+    bad = os.path.join("missing", "x.json")
+    for argv in (
+        ["enumerate", "--d", "2", "--n", "1"],
+        ["oracle-check", "--d", "2", "--n", "1"],
+        ["gaussian", "ingleton-search", "--seed", "1", "--iters", "10"],
+    ):
+        assert main(argv + ["--out", bad]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert os.listdir(outdir) == []
