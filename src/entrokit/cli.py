@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -54,12 +55,8 @@ def _vector_obj(vec: EntropyVector) -> dict:
 def cmd_enumerate(args, fh) -> int:
     d, n = args.d, args.n
     ps = PhaseSpace(n, d)
-    blocks: dict[tuple[int, ...], tuple[str, str]] = {}  # quantum orders -> both block texts
     for idx, M in enumerate(enumerate_isotropic(ps)):
-        orders = subsystem_orders(ps, M)  # the one kernel run per state
-        if orders not in blocks:
-            blocks[orders] = _blocks(ps, orders)[1]
-        classical, quantum = blocks[orders]
+        classical, quantum = _blocks(d, n, subsystem_orders(ps, M))[1]  # the one kernel run per state
         gens = json.dumps(M.generators())
         # the record's keys in sorted order, as json.dumps(record, sort_keys=True) writes them
         fh.write(
@@ -69,75 +66,72 @@ def cmd_enumerate(args, fh) -> int:
     return 0
 
 
-def _blocks(ps: PhaseSpace, orders: tuple[int, ...]) -> tuple[tuple[EntropyVector, ...], tuple[str, ...]]:
+@cache  # keyed on plain ints, whose hash, unlike a PhaseSpace's, runs no Python code
+def _blocks(d: int, n: int, orders: tuple[int, ...]) -> tuple[tuple[EntropyVector, ...], tuple[str, ...]]:
     """The classical and quantum vectors of the quantum ``orders``, and their two
     block texts: the one serializer of a corpus block, which ``enumerate``
-    writes and ``verify`` compares each record against."""
+    writes and ``verify`` compares each record against, run once per distinct
+    (d, n, orders) in a process."""
+    ps = PhaseSpace(n, d)
     vecs = (vector_from_orders(ps, orders, CLASSICAL), vector_from_orders(ps, orders, QUANTUM))
     return vecs, tuple(json.dumps(_vector_obj(v), sort_keys=True) for v in vecs)
-
-
-def _is_size(d, n) -> bool:
-    return type(d) is type(n) is int and d >= 2 and n >= 1
 
 
 def _corpus_vectors(path: str, kind: str) -> Iterator[EntropyVector]:
     """One entropy vector of ``kind`` per corpus record, read line by line.
 
     Each record is validated as it is read, and a bad one raises ValueError
-    naming its 0-based index.  A record read in full needs an int d >= 2 and
-    n >= 1, one (d, n) within the enumeration guard across the file, quantum
-    entries whose orders, in list order, pass ``vector_from_orders``, and two
-    blocks that, serialized with sorted keys, are the texts ``_blocks`` gives
-    for those orders: exactly what ``enumerate`` writes, in any layout.
+    naming its 0-based index.  Every record needs an int d >= 2 and n >= 1,
+    one (d, n) within the enumeration guard across the file, and, beside its
+    two blocks, exactly the keys d, generators, index and n.  Its blocks must
+    be the texts ``_blocks`` gives for its quantum orders: those orders, in
+    list order, must pass ``vector_from_orders``, and each block, serialized
+    with sorted keys, must be its text.  So a record holds exactly what
+    ``enumerate`` writes, in any layout.
 
     A record that passes keeps its canonical texts, ``{"classical": `` plus
     the first and the second plus ``}`` and a newline.  A record whose text
     before its first ``, "d": `` and after its last ``, "quantum": `` is a kept
-    pair parses only the text between, which must hold exactly d, generators,
-    index and n, with the file's (d, n); a canonical block holds no
-    ``, "d": ``, so no cut falls inside one.  Others, a bad middle included,
-    are read in full.  Each distinct orders tuple is serialized once.
+    pair has its blocks checked already, so only the text between is parsed,
+    under the same checks; a canonical block holds no ``, "d": ``, so no cut
+    falls inside one.  A syntax error there is reported at its column in the line.
     """
     d = n = None
     idx = -1
     kept: dict[tuple[str, str], EntropyVector] = {}  # canonical (head, tail) texts -> vector
-    built: dict[tuple, tuple] = {}  # quantum orders -> their _blocks, for records read in full
     with open(path) as fh:
         for line in fh:
             if not line.strip():
                 continue
             idx += 1
-            head, cut, rest = line.partition(', "d": ')
-            mid, cut, tail = rest.rpartition(', "quantum": ') if cut else ("", "", "")
-            if cut and (head, tail) in kept:
-                try:
-                    middle = ineq.strict_json.decode('{"d": ' + mid + "}")
-                except ValueError:
-                    middle = {}
-                size = middle.get("d"), middle.get("n")
-                if middle.keys() == {"d", "generators", "index", "n"} and _is_size(*size) and size == (d, n):
-                    yield kept[head, tail]
-                    continue
+            head, _, rest = line.partition(', "d": ')
+            mid, cut, tail = rest.rpartition(', "quantum": ')  # no cut if either is missing
+            vec = kept.get((head, tail)) if cut else None
             try:
-                rec = ineq.strict_json.decode(line)
-                if not _is_size(rec["d"], rec["n"]):
-                    raise ValueError(f"(d, n) = ({rec['d']!r}, {rec['n']!r}) is not a valid size")
+                try:
+                    rec = ineq.strict_json.decode(line if vec is None else '{"d": ' + mid + "}")
+                except json.JSONDecodeError:
+                    rec = ineq.strict_json.decode(line)  # raises again, at its column in the line
+                rd, rn = rec["d"], rec["n"]
+                if not (type(rd) is type(rn) is int and rd >= 2 and rn >= 1):
+                    raise ValueError(f"(d, n) = ({rd!r}, {rn!r}) is not a valid size")
                 if d is None:
-                    d, n = rec["d"], rec["n"]
-                    ps = PhaseSpace(n, d)
-                    check_guard(ps)
-                elif (rec["d"], rec["n"]) != (d, n):
-                    raise ValueError(f"(d, n) = ({rec['d']}, {rec['n']}), not ({d}, {n})")
-                orders = tuple(e["order"] for e in rec[QUANTUM]["entries"])
-                vecs, texts = built[orders] = built.get(orders) or _blocks(ps, orders)
-                for block, text in zip((CLASSICAL, QUANTUM), texts):
-                    if json.dumps(rec[block], sort_keys=True) != text:
-                        raise ValueError(f"{block} block is not the one enumerate writes for its quantum orders")
+                    d, n = rd, rn
+                    check_guard(PhaseSpace(n, d))
+                elif (rd, rn) != (d, n):
+                    raise ValueError(f"(d, n) = ({rd}, {rn}), not ({d}, {n})")
+                if vec is None:
+                    vecs, texts = _blocks(d, n, tuple(e["order"] for e in rec[QUANTUM]["entries"]))
+                    for block, text in zip((CLASSICAL, QUANTUM), texts):
+                        if json.dumps(rec.pop(block), sort_keys=True) != text:
+                            raise ValueError(f"{block} block is not the one enumerate writes for its quantum orders")
+                    vec = kept.setdefault(('{"classical": ' + texts[0], texts[1] + "}\n"), vecs[kind == QUANTUM])
+                if rec.keys() != {"d", "generators", "index", "n"}:
+                    raise ValueError(f"keys {sorted(rec)} beside the blocks are not d, generators, index and n")
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"record {idx}: {detail}") from None
-            yield kept.setdefault(('{"classical": ' + texts[0], texts[1] + "}\n"), vecs[kind == QUANTUM])
+            yield vec
     if d is None:
         raise ValueError("empty corpus")
 

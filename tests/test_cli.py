@@ -196,6 +196,8 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         lambda rec: rec["quantum"].update(kind="classical"),
         lambda rec: rec.update(d=2.0),
         lambda rec: rec.update(n=2.0),
+        lambda rec: rec.update(x=0),
+        lambda rec: rec.pop("generators"),
     ],
     ids=[
         "missing-entry",
@@ -214,11 +216,15 @@ def test_verify_rejects_inequality_arity_mismatch(outdir, capsys):
         "kind-swapped",
         "float-d",
         "float-n",
+        "extra-top-key",
+        "missing-generators",
     ],
 )
 def test_verify_rejects_malformed_record(outdir, capsys, edit):
-    # the last seven edits passed while the reader checked the blocks field by field,
-    # not as the text enumerate writes, and type-checked only record 0's (d, n)
+    # "bool-mask" to "float-n" passed while the reader checked the blocks field by field,
+    # not as the text enumerate writes, and type-checked only record 0's (d, n); the last
+    # two passed while the full read, which a repeated record with a bad middle fell back
+    # to, checked no top-level keys
     corpus = outdir / "corpus.json"
     assert main(["enumerate", "--d", "2", "--n", "2", "--out", str(corpus)]) == 0
     lines = corpus.read_text().splitlines()
@@ -252,8 +258,10 @@ def repeated_record(lines):
         # a key repeated across the record, not within its middle: its last quantum block is still the kept one
         (', "n": 2,', ', "n": 2, "quantum": {{"entries": [], "kind": "quantum"}},'),
         (', "d": 2,', ', "d": 2.0,'),
+        (', "n": 2,', ', "n": 2, "x": 0,'),
+        (', "index": {k},', ","),
     ],
-    ids=["repeated-index", "d-3", "missing-n", "repeated-quantum", "float-d"],
+    ids=["repeated-index", "d-3", "missing-n", "repeated-quantum", "float-d", "extra-middle-key", "missing-index"],
 )
 def test_verify_checks_the_middle_of_a_repeated_record(outdir, capsys, old, new):
     corpus = outdir / "corpus.json"
@@ -269,6 +277,24 @@ def test_verify_checks_the_middle_of_a_repeated_record(outdir, capsys, old, new)
     assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
     assert capsys.readouterr().err.startswith(f"error: record {k}: ")
     assert not (outdir / "report.json").exists()
+
+
+def test_verify_places_a_syntax_error_in_a_repeated_record_in_its_own_line(outdir, capsys):
+    # only the middle of a repeated record is parsed, but the column is the one in the whole line
+    from entrokit.inequalities import strict_json
+
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
+    lines = corpus.read_text().splitlines()
+    k = repeated_record(lines)
+    lines[k] = lines[k].replace('"index":', '"index"')
+    corpus.write_text("\n".join(lines) + "\n")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        strict_json.decode(lines[k])
+    assert (k, exc.value.colno) == (3, 512)
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert capsys.readouterr().err == f"error: record 3: {exc.value}\n"
 
 
 def test_verify_keeps_no_block_text_cut_inside_a_block(outdir, capsys):
@@ -295,7 +321,7 @@ def test_verify_parses_each_repeated_record_only_in_its_middle(outdir, monkeypat
     assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
     blocks, decode = cli._blocks, cli.ineq.strict_json.decode
     calls, parsed = [], []
-    monkeypatch.setattr(cli, "_blocks", lambda *a: calls.append(a[1]) or blocks(*a))
+    monkeypatch.setattr(cli, "_blocks", lambda *a: calls.append(a[2]) or blocks(*a))
     monkeypatch.setattr(cli.ineq.strict_json, "decode", lambda text: parsed.append(text[:6]) or decode(text))
     assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 0
     assert read_lines(outdir / "report.json")[0]["states_checked"] == 514
@@ -322,6 +348,20 @@ def test_verify_report_does_not_depend_on_the_corpus_layout(outdir, capsys):
             assert runs[0] == runs[1]
             reports += runs[0][2] is not None
     assert reports == 6  # ingleton needs n >= 4 and zhang_yeung n = 4
+
+
+@pytest.mark.parametrize("separators", [None, (",", ":")], ids=["enumerate-layout", "compact"])
+def test_verify_rejects_a_record_without_index_in_any_layout(outdir, capsys, separators):
+    # the first record is read in full in either layout; in the compact one every record is
+    corpus = outdir / "corpus.json"
+    assert main(["enumerate", "--d", "2", "--n", "3", "--out", str(corpus)]) == 0
+    records = read_lines(corpus)
+    del records[0]["index"]
+    corpus.write_text("".join(json.dumps(rec, separators=separators) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(corpus), "--family", "ssa"]) == 2
+    assert capsys.readouterr().err.startswith("error: record 0: ")
+    assert not (outdir / "report.json").exists()
 
 
 def reversed_keys(obj):
